@@ -316,7 +316,8 @@ type Health struct {
 
 // CacheStats mirrors the /stats "cache" block. SpillLoadErrors counts spill
 // files that existed but failed to load (truncated or corrupt on disk) and
-// were rebuilt from scratch instead.
+// were rebuilt from scratch instead; SpillSaveErrors counts spill saves that
+// failed.
 type CacheStats struct {
 	Hits            int64    `json:"hits"`
 	Coalesced       int64    `json:"coalesced_builds"`
@@ -324,6 +325,7 @@ type CacheStats struct {
 	SpillLoads      int64    `json:"spill_loads"`
 	SpillSaves      int64    `json:"spill_saves"`
 	SpillLoadErrors int64    `json:"spill_load_errors"`
+	SpillSaveErrors int64    `json:"spill_save_errors"`
 	SpillSkipped    int64    `json:"spill_skipped"`
 	MmapLoads       int64    `json:"mmap_loads"`
 	Evictions       int64    `json:"evictions"`

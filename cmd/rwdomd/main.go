@@ -128,7 +128,7 @@ func main() {
 		listen     = flag.String("listen", ":7474", "HTTP listen address")
 		cacheSize  = flag.Int("cache", 8, "max resident walk indexes (<0 = unbounded)")
 		spillDir   = flag.String("spill", "", "directory for evicted/shutdown index spills (empty = disabled)")
-		spillFmt   = flag.String("spill-format", "v8", "on-disk format spills are written in: v8 (compressed store container), v8raw (raw page-aligned sections), or v7 (legacy); loads accept every format")
+		spillFmt   = flag.String("spill-format", "v8", "on-disk format spills are written in: v8 (compressed store container; a heap load decodes it once, a -mmap load decodes on read), v8raw (raw page-aligned sections), or v7 (legacy); loads accept every format")
 		mmapSpills = flag.Bool("mmap", false, "serve v8 spill loads off a read-only memory mapping (page-in warm restarts, mapped indexes cost ~nothing against -index-bytes)")
 		workers    = flag.Int("workers", 0, "default per-request workers (0 = all cores)")
 		maxWorkers = flag.Int("max-workers", 0, "cap on the per-request workers knob (0 = all cores)")

@@ -190,8 +190,12 @@
 // CRC-verifies the file instead of deserializing it (O(1)-ish page-in
 // restart, ~13x faster in BenchmarkWarmRestart), rows page in as queries
 // touch them, and mapped indexes cost nothing against the index-bytes
-// budget — the working set may exceed RAM. Compressed spans decode on
-// read through a small hot-row cache; store-backed answers are
+// budget — the working set may exceed RAM. A heap load (the default)
+// decodes compressed spans once, at load, into the arrays a fresh build
+// has, so the index then serves at heap speed and costs a fresh build's
+// heap (43.0 MB for a 15.7 MB file in the repository benchmark's serve-hot
+// workload); only a mapped compressed file decodes on read, through a
+// small hot-row cache. Store-backed answers are
 // bit-identical to heap answers (a parity suite enforces it across
 // formats, problems, layouts, growth and repair — Repair first promotes
 // a mapped index onto the heap, since the mapping is read-only).

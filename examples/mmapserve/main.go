@@ -7,7 +7,7 @@
 // Engine builds the index and spills it on Close (format v8: page-aligned
 // sections, per-section CRC32-C, delta/varint-compressed walk spans). A
 // warm Engine over the same spill directory then comes up twice: once
-// deserializing the file onto the heap, and once with WithMmapSpills,
+// decoding the file onto the heap at load, and once with WithMmapSpills,
 // where the "load" is an mmap plus CRC verification — no deserialize, rows
 // page in as queries touch them, and the mapped index costs nothing
 // against the index-bytes budget, so the working set may exceed RAM.
@@ -70,8 +70,9 @@ func main() {
 	})
 	fmt.Printf("spilled:     %d bytes on disk (compressed v8 container)\n", spillBytes)
 
-	// Warm restart, heap mode: the spill file is deserialized back onto the
-	// Go heap — already far cheaper than the rebuild, but O(entries).
+	// Warm restart, heap mode: the spill file is read and its compressed
+	// spans decoded once onto the Go heap — already far cheaper than the
+	// rebuild, but O(entries), and the index then serves at heap speed.
 	restart := func(label string, opts ...rwdom.Option) *rwdom.Engine {
 		en, err := rwdom.Open(g, append([]rwdom.Option{rwdom.WithSpillDir(dir)}, opts...)...)
 		if err != nil {

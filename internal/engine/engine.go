@@ -74,12 +74,15 @@ type Config struct {
 	// SpillFormat selects what spill saves write: "v8" (compressed store
 	// container, the default), "v8raw" (raw page-aligned sections), or "v7"
 	// (legacy full-deserialize format). Loads sniff the file magic and accept
-	// every format regardless of this setting.
+	// every format regardless of this setting. Without MmapSpills a v8 load
+	// decodes compressed chunks once, at load, so the loaded index serves at
+	// heap speed and counts its full decoded size against IndexBytes.
 	SpillFormat string
 	// MmapSpills serves v8 spill loads store-backed through a read-only
 	// memory mapping: a warm restart pages rows in on demand instead of
 	// deserializing, and mapped indexes cost ~nothing against IndexBytes
-	// (their pages are reclaimable page cache, not heap).
+	// (their pages are reclaimable page cache, not heap). Compressed chunks
+	// of a mapped file decode on read through a hot-row cache.
 	MmapSpills bool
 	// EvictInterval enables background eviction of indexes not used for one
 	// full interval (0 disables it).

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/server"
 )
 
 // Shared HTTP drivers for the serving experiments (serving.go,
@@ -14,39 +16,35 @@ import (
 // measure aggregate throughput.
 
 // httpGet issues one GET and fails on any non-200, surfacing the server's
-// JSON error message.
+// error code and message.
 func httpGet(base, path string) error {
 	resp, err := http.Get(base + path)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("%s: %d %s", path, resp.StatusCode, e.Error)
-	}
-	return nil
+	return checkResponse(path, resp)
 }
 
 // httpPostJSON posts a JSON body and fails on any non-200, surfacing the
-// server's JSON error message.
+// server's error code and message.
 func httpPostJSON(base, path, body string) error {
 	resp, err := http.Post(base+path, "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		return err
 	}
+	return checkResponse(path, resp)
+}
+
+// checkResponse closes resp and turns a non-200 into an error carrying the
+// status and the code and message of the server's error envelope.
+func checkResponse(path string, resp *http.Response) error {
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("%s: %d %s", path, resp.StatusCode, e.Error)
+	if resp.StatusCode == http.StatusOK {
+		return nil
 	}
-	return nil
+	var e server.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return fmt.Errorf("%s: %d %s: %s", path, resp.StatusCode, e.Error.Code, e.Error.Message)
 }
 
 // qpsSweep issues total requests, striped across clients concurrent

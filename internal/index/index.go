@@ -140,19 +140,24 @@ type Index struct {
 	ends    []int64
 	dead    int64
 
-	// stf, when non-nil, marks a store-backed index (backing.go): the CSR
-	// data lives in a format-v8 store file (internal/store), served either
-	// by aliasing offsets/ids/hops directly out of its pages (raw chunks) or
-	// by decode-on-read (sb below). The reference pins the file's mapping —
-	// slices into a mapping do not keep it reachable on their own — so an
-	// in-flight query can never lose its pages; unmapping happens via
-	// finalizer when the last store-backed Index drops. On a chunked parent
-	// stf is the shared file of its store-backed parts.
+	// stf, when non-nil, pins the format-v8 store file (internal/store) this
+	// index's entries are served from (backing.go): raw chunks alias
+	// offsets/ids/hops directly out of its pages or heap buffer, and
+	// compressed chunks of a mapped file decode on read (sb below). The
+	// reference pins the file's mapping — slices into a mapping do not keep
+	// it reachable on their own — so an in-flight query can never lose its
+	// pages; unmapping happens via finalizer when the last reference drops.
+	// On a chunked parent stf is the file its parts serve from. Compressed
+	// chunks of a heap-loaded file are decoded at load and never pin it.
 	stf *store.File
+	// origin, when non-nil, names the store file the index was loaded from
+	// and is unchanged since; Promote clears it. Set on a chunked parent and
+	// its parts alike.
+	origin *storeOrigin
 	// sb, when non-nil, serves this flat chunk's rows by decoding the
-	// file's compressed spans on read (with a hot-row cache) instead of
-	// materialized arrays; offsets/ids/hops are nil and sbEntries holds the
-	// chunk's entry count from the file directory. Mutation promotes to
+	// mapped file's compressed spans on read (with a hot-row cache) instead
+	// of materialized arrays; offsets/ids/hops are nil and sbEntries holds
+	// the chunk's entry count from the file directory. Mutation promotes to
 	// heap first (Promote).
 	sb        *store.Spans
 	sbEntries int64
@@ -552,10 +557,12 @@ func (ix *Index) Row(i, v int) (ids []int32, hops []uint16) {
 
 // MemoryBytes reports the approximate heap footprint of the index, used by
 // the scalability experiment to confirm O(nRL + m) space and by the cache's
-// bytes budget. A store-backed chunk's entry data lives on mapped pages (or
-// in the shared file buffer accounted once on the parent, see below), not
-// the Go heap, so it reports ~0: mapped indexes are nearly free against the
-// budget, which is exactly what lets a cache serve more index than RAM.
+// bytes budget. Owned arrays — fresh builds and compressed chunks decoded at
+// load — count in full. A chunk served from its store file counts the
+// file's heap buffer once, on the parent (see below); a mapped file's pages
+// belong to the page cache, not the Go heap, so they report ~0: mapped
+// indexes are nearly free against the budget, which is exactly what lets a
+// cache serve more index than RAM.
 func (ix *Index) MemoryBytes() int64 {
 	if ix.parts != nil {
 		total := int64(0)

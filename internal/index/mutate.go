@@ -312,34 +312,46 @@ func (ix *Index) Compact() {
 	ix.dead = 0
 }
 
-// compacted returns a compact view of the index for serialization: the
-// receiver itself when already compact, otherwise a shallow copy with
+// compacted returns a compact view of a flat index (or one chunk) for
+// serialization: the receiver itself when already compact, otherwise a shallow copy with
 // freshly compacted arrays — the receiver is never mutated, so WriteTo stays
 // safe for concurrent readers of a compact index and never persists the
-// patched layout.
-func (ix *Index) compacted() *Index {
-	if ix.parts != nil {
-		// Chunked parents hold no arrays; WriteTo compacts chunk by chunk.
-		return ix
+// patched layout. A decode-on-read chunk whose blocks fail to decode returns
+// the error: persisting it any other way would give wrong rows valid CRCs.
+func (ix *Index) compacted() (*Index, error) {
+	if ix.sb == nil && ix.ends == nil {
+		return ix, nil
 	}
+	c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
 	if ix.sb != nil {
 		// Decode-on-read chunks have no materialized arrays: decode the
 		// whole chunk into a compact copy (blocks are compact by
 		// construction), leaving the receiver untouched.
 		offsets, ids, hops, err := ix.sb.Materialize()
 		if err != nil {
-			// Unreachable short of a writer bug (the file passed its CRC
-			// pass at open); serialize an empty chunk rather than panic.
-			offsets = make([]int64, int64(ix.r)*int64(ix.g.N())+1)
+			return nil, fmt.Errorf("index: serialize store-backed chunk: %w", err)
 		}
-		c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
 		c.offsets, c.ids, c.hops = offsets, ids, hops
-		return c
+		return c, nil
 	}
-	if ix.ends == nil {
-		return ix
-	}
-	c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
 	c.offsets, c.ids, c.hops = ix.compactArrays()
-	return c
+	return c, nil
+}
+
+// compactParts returns the index's chunks in compact form for the
+// serializers (a flat index is one chunk).
+func (ix *Index) compactParts() ([]*Index, error) {
+	src := ix.parts
+	if src == nil {
+		src = []*Index{ix}
+	}
+	parts := make([]*Index, len(src))
+	for i, pt := range src {
+		c, err := pt.compacted()
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = c
+	}
+	return parts, nil
 }

@@ -42,7 +42,10 @@ func assertRebuildParity(t testing.TB, ix *Index, workers int) {
 			}
 		}
 	}
-	c := ix.compacted()
+	c, err := ix.compacted()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(c.offsets, ref.offsets) || !reflect.DeepEqual(c.ids, ref.ids) || !reflect.DeepEqual(c.hops, ref.hops) {
 		t.Fatal("compacted repair is not bit-identical to a fresh rebuild")
 	}
@@ -270,7 +273,10 @@ func TestWriteToSerializesPatchedAsCompact(t *testing.T) {
 	if loaded.GraphEpoch() != 1 {
 		t.Fatalf("round-tripped GraphEpoch = %d, want 1", loaded.GraphEpoch())
 	}
-	c := ix.compacted()
+	c, err := ix.compacted()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(loaded.offsets, c.offsets) || !reflect.DeepEqual(loaded.ids, c.ids) || !reflect.DeepEqual(loaded.hops, c.hops) {
 		t.Fatal("round-trip diverges from the compacted form")
 	}

@@ -77,14 +77,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // their canonical compacted form, computed on copies — the receiver is not
 // mutated.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	var parts []*Index
-	if ix.parts != nil {
-		parts = make([]*Index, len(ix.parts))
-		for i, pt := range ix.parts {
-			parts[i] = pt.compacted()
-		}
-	} else {
-		parts = []*Index{ix.compacted()}
+	parts, err := ix.compactParts()
+	if err != nil {
+		return 0, err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sum := crc32.New(castagnoli)

@@ -12,14 +12,16 @@ import (
 // Bridges between Index and the format-v8 store container (internal/store).
 // v7 (serialize.go) remains the legacy read-compatible format; v8 is what
 // spill saves write by default: page-aligned sections that load by mmap (or
-// one aligned read) instead of a full deserialize, optionally with
-// delta/varint-compressed spans.
+// one aligned read) instead of a stream deserialize, optionally with
+// delta/varint-compressed spans, which a heap load decodes once and a mapped
+// load decodes on read.
 
 // Spill format names, as configured through engine.Config.SpillFormat and
 // the rwdomd -spill-format flag.
 const (
 	// FormatV8 is the store container with delta/varint-compressed spans:
-	// smallest files, decode-on-read serving with a hot-row cache.
+	// smallest files. A heap load decodes them once into owned arrays; a
+	// mapped load decodes on read through a hot-row cache.
 	FormatV8 = "v8"
 	// FormatV8Raw is the store container with raw page-aligned sections:
 	// zero decode work (reads alias the pages directly) at raw size.
@@ -31,15 +33,10 @@ const (
 // storeChunks collects the index's chunks in compact form for the store
 // writer, materializing patched or decode-backed chunks without mutating
 // the receiver (same contract as WriteTo).
-func (ix *Index) storeChunks() []store.Chunk {
-	var parts []*Index
-	if ix.parts != nil {
-		parts = make([]*Index, len(ix.parts))
-		for i, pt := range ix.parts {
-			parts[i] = pt.compacted()
-		}
-	} else {
-		parts = []*Index{ix.compacted()}
+func (ix *Index) storeChunks() ([]store.Chunk, error) {
+	parts, err := ix.compactParts()
+	if err != nil {
+		return nil, err
 	}
 	chunks := make([]store.Chunk, len(parts))
 	for i, pt := range parts {
@@ -48,13 +45,18 @@ func (ix *Index) storeChunks() []store.Chunk {
 			Offsets: pt.offsets, Ids: pt.ids, Hops: pt.hops,
 		}
 	}
-	return chunks
+	return chunks, nil
 }
 
 // WriteStore serializes the index in format v8 (compress selects
 // delta/varint spans vs raw sections). Like WriteTo it never mutates the
-// receiver and never writes the patched post-Repair layout.
+// receiver and never writes the patched post-Repair layout; a chunk that
+// cannot be decoded fails the write before any byte is written.
 func (ix *Index) WriteStore(w io.Writer, compress bool) (int64, error) {
+	chunks, err := ix.storeChunks()
+	if err != nil {
+		return 0, err
+	}
 	id := store.Identity{
 		Fingerprint: ix.g.Fingerprint(),
 		Epoch:       ix.gepoch,
@@ -64,7 +66,7 @@ func (ix *Index) WriteStore(w io.Writer, compress bool) (int64, error) {
 		R0:          ix.rbase,
 		Seed:        ix.seed,
 	}
-	return store.Write(w, id, ix.storeChunks(), store.WriteOptions{Compress: compress})
+	return store.Write(w, id, chunks, store.WriteOptions{Compress: compress})
 }
 
 // SaveStore writes the index to path in format v8.

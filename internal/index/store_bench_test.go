@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkWarmRestart measures what a daemon restart pays per warm index:
-// the legacy v7 full deserialize against a v8 mmap open (CRC verification +
-// mapping, no deserialize, rows page in on demand). disk_bytes reports each
-// format's on-disk size — v8's compressed spans shrink the file while v8's
-// open time stays O(file bytes)/CRC-speed instead of O(entries)/decode-speed.
+// the legacy v7 full deserialize, a compressed v8 heap load (the default:
+// read, CRC-verify and decode every chunk once into owned arrays), and a v8
+// mmap open (CRC verification + mapping, no decode, rows page in and decode
+// on read). disk_bytes reports each format's on-disk size.
 func BenchmarkWarmRestart(b *testing.B) {
 	g, _ := graph.BarabasiAlbert(8000, 5, 1)
 	ix, _ := Build(g, 6, 20, 1)
@@ -41,6 +41,14 @@ func BenchmarkWarmRestart(b *testing.B) {
 			}
 		}
 		b.ReportMetric(size(v7), "disk_bytes")
+	})
+	b.Run("v8-heap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadStore(v8, g, StoreOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(size(v8), "disk_bytes")
 	})
 	b.Run("v8-mmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

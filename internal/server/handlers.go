@@ -595,6 +595,7 @@ type CacheStatsJSON struct {
 	SpillLoads      int64    `json:"spill_loads"`
 	SpillSaves      int64    `json:"spill_saves"`
 	SpillLoadErrors int64    `json:"spill_load_errors"`
+	SpillSaveErrors int64    `json:"spill_save_errors"`
 	SpillSkipped    int64    `json:"spill_skipped"`
 	MmapLoads       int64    `json:"mmap_loads"`
 	Evictions       int64    `json:"evictions"`
@@ -746,6 +747,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SpillLoads:      es.Cache.SpillLoads,
 			SpillSaves:      es.Cache.SpillSaves,
 			SpillLoadErrors: es.Cache.SpillLoadErrors,
+			SpillSaveErrors: es.Cache.SpillSaveErrors,
 			SpillSkipped:    es.Cache.SpillSkipped,
 			MmapLoads:       es.Cache.MmapLoads,
 			Evictions:       es.Cache.Evictions,

@@ -2,9 +2,15 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrMalformed marks a compressed block that fails to decode. The open-time
+// CRC pass makes one unreachable short of a writer bug; a heap load, which
+// decodes every block, fails with it instead of serving a wrong row.
+var ErrMalformed = errors.New("store: malformed block")
 
 // Delta/varint codec for compressed chunks. One node's block holds the
 // node's replicate rows back to back; within a row, ids are strictly
@@ -79,50 +85,89 @@ type decoded struct {
 	hops []uint16
 }
 
-// decodeBlock decodes node u's block from blob. Every read is bounds-checked
-// and every decoded id/hop validated, so a malformed block (impossible after
-// the open-time CRC pass short of a writer bug) returns an error instead of
-// panicking or serving garbage.
-func decodeBlock(blob []byte, u, width, n, maxHop int) (*decoded, error) {
-	d := &decoded{u: int32(u), offs: make([]int64, width+1)}
+// blockEntries returns how many entries the varints of a run of rows blocks
+// encode. Every uvarint ends in exactly one byte below 0x80, and a block holds
+// one length per row plus an (id delta, hop) pair per entry, so the count
+// sizes the decode's arrays before a single varint is parsed. A decode that
+// succeeds consumes every byte, one terminator per varint, so it fills
+// exactly the counted entries; a malformed run reports ok=false or fails the
+// decode.
+func blockEntries(blob []byte, rows int64) (entries int64, ok bool) {
+	var v int64
+	for _, b := range blob {
+		if b < 0x80 {
+			v++
+		}
+	}
+	v -= rows
+	return v / 2, v >= 0 && v%2 == 0
+}
+
+// decodeRows is the one compressed-span decoder: it decodes node u's block
+// (width rows) from blob straight into ids/hops starting at entry e, writes
+// each row's start entry to rowStarts[0:width], and returns the entry after
+// the block. ids and hops are the caller's presized arrays; an entry that
+// would land at or past len(ids) is an error, so a lying block can never
+// write outside the range it was given. Every read is bounds-checked and
+// every decoded value validated — row length at most n, ids strictly
+// ascending within a row and below n, hops in [1, maxHop], no trailing
+// bytes — so a malformed block (impossible after the open-time CRC pass
+// short of a writer bug) returns an error instead of panicking or
+// producing garbage.
+func decodeRows(blob []byte, u, width, n, maxHop int, rowStarts []int64, ids []int32, hops []uint16, e int64) (int64, error) {
 	pos := 0
+	limit := int64(len(ids))
 	for i := 0; i < width; i++ {
-		d.offs[i] = int64(len(d.ids))
+		rowStarts[i] = e
 		rowLen, sz := binary.Uvarint(blob[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("store: node %d row %d: truncated row length", u, i)
+			return 0, fmt.Errorf("%w: node %d row %d: truncated row length", ErrMalformed, u, i)
 		}
 		pos += sz
-		if rowLen > uint64(n) {
-			return nil, fmt.Errorf("store: node %d row %d: length %d exceeds n=%d", u, i, rowLen, n)
+		if rowLen > uint64(n) || int64(rowLen) > limit-e {
+			return 0, fmt.Errorf("%w: node %d row %d: length %d exceeds n=%d or the declared entry count", ErrMalformed, u, i, rowLen, n)
 		}
 		prev := int64(-1)
-		for e := uint64(0); e < rowLen; e++ {
+		for end := e + int64(rowLen); e < end; e++ {
 			delta, sz := binary.Uvarint(blob[pos:])
 			if sz <= 0 {
-				return nil, fmt.Errorf("store: node %d row %d: truncated id delta", u, i)
+				return 0, fmt.Errorf("%w: node %d row %d: truncated id delta", ErrMalformed, u, i)
 			}
 			pos += sz
 			hop, sz := binary.Uvarint(blob[pos:])
 			if sz <= 0 {
-				return nil, fmt.Errorf("store: node %d row %d: truncated hop", u, i)
+				return 0, fmt.Errorf("%w: node %d row %d: truncated hop", ErrMalformed, u, i)
 			}
 			pos += sz
 			id := prev + int64(delta)
 			if delta == 0 || id >= int64(n) {
-				return nil, fmt.Errorf("store: node %d row %d: id %d out of range (delta %d)", u, i, id, delta)
+				return 0, fmt.Errorf("%w: node %d row %d: id %d out of range (delta %d)", ErrMalformed, u, i, id, delta)
 			}
 			if hop == 0 || hop > uint64(maxHop) {
-				return nil, fmt.Errorf("store: node %d row %d: hop %d outside [1,%d]", u, i, hop, maxHop)
+				return 0, fmt.Errorf("%w: node %d row %d: hop %d outside [1,%d]", ErrMalformed, u, i, hop, maxHop)
 			}
-			d.ids = append(d.ids, int32(id))
-			d.hops = append(d.hops, uint16(hop))
+			ids[e] = int32(id)
+			hops[e] = uint16(hop)
 			prev = id
 		}
 	}
 	if pos != len(blob) {
-		return nil, fmt.Errorf("store: node %d: block has %d trailing bytes", u, len(blob)-pos)
+		return 0, fmt.Errorf("%w: node %d: block has %d trailing bytes", ErrMalformed, u, len(blob)-pos)
 	}
-	d.offs[width] = int64(len(d.ids))
+	return e, nil
+}
+
+// decodeBlock decodes node u's block from blob into its own arrays — the
+// decode-on-read path of a mapped compressed chunk.
+func decodeBlock(blob []byte, u, width, n, maxHop int) (*decoded, error) {
+	entries, ok := blockEntries(blob, int64(width))
+	if !ok {
+		return nil, fmt.Errorf("%w: node %d: %d bytes do not hold %d whole rows", ErrMalformed, u, len(blob), width)
+	}
+	d := &decoded{u: int32(u), offs: make([]int64, width+1), ids: make([]int32, entries), hops: make([]uint16, entries)}
+	if _, err := decodeRows(blob, u, width, n, maxHop, d.offs, d.ids, d.hops, 0); err != nil {
+		return nil, err
+	}
+	d.offs[width] = entries
 	return d, nil
 }

@@ -18,10 +18,11 @@ type OpenOptions struct {
 	// cache. Without it the whole file is read into an aligned heap buffer —
 	// same bytes, same views, no page-cache residency requirements.
 	Mmap bool
-	// HotRows sizes the per-chunk decoded-block cache for compressed chunks
-	// (rounded up to a power of two): 0 means DefaultHotRows, negative
-	// disables caching so every read decodes (the pure decode-on-read mode
-	// the overhead benchmark measures).
+	// HotRows sizes the per-chunk decoded-block cache that Spans.NodeSpan
+	// serves compressed chunks through (rounded up to a power of two): 0
+	// means DefaultHotRows, negative disables caching so every read decodes
+	// (the pure decode-on-read mode the overhead benchmark measures).
+	// Spans.Materialize never touches it.
 	HotRows int
 }
 
@@ -32,9 +33,9 @@ type FileStats struct {
 	// count nothing.
 	DecodeHits   int64
 	DecodeMisses int64
-	// DecodeErrors counts malformed blocks (writer bug — file corruption is
-	// caught by the open-time CRC pass); each one served an empty span
-	// rather than panicking.
+	// DecodeErrors counts malformed blocks NodeSpan met (writer bug — file
+	// corruption is caught by the open-time CRC pass); each one served an
+	// empty span rather than panicking. Materialize fails instead.
 	DecodeErrors int64
 }
 

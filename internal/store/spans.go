@@ -1,11 +1,18 @@
 package store
 
-import "sync/atomic"
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
-// Spans serves a compressed chunk's rows by decode-on-read: NodeSpan(u)
-// returns node u's block — all of the chunk's replicate rows for u — in
-// exactly the shape the heap-resident hot paths consume, decoding from the
-// mapped blob on demand.
+// Spans is a compressed chunk's blob. Materialize decodes all of it at once;
+// NodeSpan(u) serves by decode-on-read, returning node u's block — all of the
+// chunk's replicate rows for u — in exactly the shape the heap-resident hot
+// paths consume, decoding from the mapped blob on demand.
 //
 // A direct-mapped cache of decoded blocks (atomic.Pointer slots, lock-free
 // for readers and writers) keeps hot rows materialized: a selection sweep
@@ -89,27 +96,80 @@ func (s *Spans) decode(u int) *decoded {
 	return d
 }
 
-// Materialize decodes the whole chunk into fresh compact CSR arrays — the
-// store→heap promotion path mutation forces (Repair needs writable arrays),
-// and the bridge for re-serializing a store-backed index.
+// Materialize decodes the whole chunk into fresh compact CSR arrays in one
+// pass: the heap load of a compressed file, the store→heap promotion
+// mutation forces (Repair needs writable arrays), and the bridge for
+// re-serializing a decode-on-read index all go through it. The arrays are
+// sized from the directory's entry count and filled in place, with nothing
+// allocated per node. Node ranges of roughly equal blob bytes decode on up
+// to GOMAXPROCS goroutines; each range's first entry comes from a varint
+// count of the ranges before it (blockEntries). Any malformed block, or a
+// total that differs from the directory's count, fails the whole decode.
 func (s *Spans) Materialize() (offsets []int64, ids []int32, hops []uint16, err error) {
-	rows := int64(s.n) * int64(s.width)
-	offsets = make([]int64, rows+1)
-	ids = make([]int32, 0, s.m.entries)
-	hops = make([]uint16, 0, s.m.entries)
-	for u := 0; u < s.n; u++ {
-		lo, hi := s.blockOffs[u], s.blockOffs[u+1]
-		d, derr := decodeBlock(s.blob[lo:hi], u, s.width, s.n, s.f.id.L)
-		if derr != nil {
-			return nil, nil, nil, derr
+	bounds := s.split(runtime.GOMAXPROCS(0))
+	w := len(bounds) - 1
+	width := int64(s.width)
+	// starts[r] is range r's first entry; starts[w] the chunk's total.
+	starts := make([]int64, w+1)
+	valid := make([]bool, w)
+	parallel(w, func(r int) {
+		lo, hi := bounds[r], bounds[r+1]
+		starts[r+1], valid[r] = blockEntries(s.blob[s.blockOffs[lo]:s.blockOffs[hi]], int64(hi-lo)*width)
+	})
+	for r := 0; r < w; r++ {
+		if !valid[r] {
+			return nil, nil, nil, fmt.Errorf("%w: nodes [%d, %d) do not hold whole blocks", ErrMalformed, bounds[r], bounds[r+1])
 		}
-		base := int64(u) * int64(s.width)
-		for i := 0; i <= s.width; i++ {
-			offsets[base+int64(i)] = int64(len(ids)) + d.offs[i]
-		}
-		ids = append(ids, d.ids...)
-		hops = append(hops, d.hops...)
+		starts[r+1] += starts[r]
 	}
-	offsets[rows] = int64(len(ids))
+	if starts[w] != s.m.entries {
+		return nil, nil, nil, fmt.Errorf("%w: chunk blocks encode %d entries, directory declares %d", ErrMalformed, starts[w], s.m.entries)
+	}
+
+	rows := int64(s.n) * width
+	offsets = make([]int64, rows+1)
+	ids = make([]int32, s.m.entries)
+	hops = make([]uint16, s.m.entries)
+	errs := make([]error, w)
+	parallel(w, func(r int) {
+		e, end := starts[r], starts[r+1]
+		for u := bounds[r]; u < bounds[r+1] && errs[r] == nil; u++ {
+			base := int64(u) * width
+			e, errs[r] = decodeRows(s.blob[s.blockOffs[u]:s.blockOffs[u+1]], u, s.width, s.n, s.f.id.L,
+				offsets[base:base+width], ids[:end], hops[:end], e)
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, nil, err
+	}
+	offsets[rows] = s.m.entries
 	return offsets, ids, hops, nil
+}
+
+// split cuts the chunk's nodes into at most workers ranges of roughly equal
+// blob bytes (block sizes follow node degree, so equal node counts would
+// not balance) and returns the range bounds.
+func (s *Spans) split(workers int) []int {
+	total := s.blockOffs[s.n]
+	bounds := make([]int, workers+1)
+	for r := 1; r < workers; r++ {
+		want := total * int64(r) / int64(workers)
+		bounds[r] = sort.Search(s.n, func(u int) bool { return s.blockOffs[u] >= want })
+	}
+	bounds[workers] = s.n
+	return bounds
+}
+
+// parallel runs fn(0..w-1) concurrently and waits for all of them.
+func parallel(w int, fn func(r int)) {
+	var wg sync.WaitGroup
+	for r := 1; r < w; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			fn(r)
+		}(r)
+	}
+	fn(0)
+	wg.Wait()
 }

@@ -1,7 +1,12 @@
 // Package store owns the on-disk index formats of the walk-index subsystem:
 // a page-aligned container (format v8) whose sections can be served straight
 // off an mmap'd file, plus a delta/varint codec for compressed candidate-major
-// CSR spans with a decode-on-read hot-row cache.
+// CSR spans. A compressed chunk is consumed one of two ways: Spans.Materialize
+// decodes it once, in a single presized pass split over GOMAXPROCS workers,
+// into compact CSR arrays (what a heap load does), or Spans.NodeSpan decodes
+// it on read through a per-chunk hot-row cache (what a mapped load does, so
+// an index larger than RAM can serve off the page cache). Both run the same
+// validating decoder.
 //
 // The package is deliberately dependency-free (stdlib only) and deals in
 // generic CSR chunks; internal/index owns the glue that turns a store file
@@ -65,8 +70,7 @@ const (
 	// int64 sections aliased out of a mapping.
 	DefaultPageSize = 4096
 	// DefaultHotRows is the default decoded-block cache size per compressed
-	// chunk (see Spans): enough to keep a selection sweep's working set
-	// decoded without materializing the chunk.
+	// chunk served decode-on-read (see Spans).
 	DefaultHotRows = 4096
 )
 
