@@ -331,7 +331,8 @@ func BenchmarkAblationAliasVsBinarySearch(b *testing.B) {
 
 // BenchmarkIndexBuild measures Algorithm 3 (index materialization) alone,
 // the dominant cost of the approximate greedy algorithm, single-threaded
-// and sharded over all cores.
+// and sharded over all cores. Allocations are reported because the build's
+// transient buffers (walk buffer, per-worker counters) are part of its cost.
 func BenchmarkIndexBuild(b *testing.B) {
 	g, err := GeneratePowerLaw(5000, 30000, 5)
 	if err != nil {
@@ -345,6 +346,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := index.BuildWorkers(g, 6, 20, uint64(i), bc.workers); err != nil {
 					b.Fatal(err)

@@ -47,6 +47,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -186,29 +187,47 @@ func (ix *Index) span(k int64) (lo, hi int64) {
 // inverted index (Algorithm 3), single-threaded. Memory is O(nRL): the
 // final CSR arrays plus, transiently during construction, one buffered copy
 // of the per-walk first visits (6 bytes per entry, the same size as the
-// final ids+hops payload), so each walk is generated exactly once. Each
-// (node, replicate) walk is seeded independently from the master seed, so
-// the parallel builder produces the same walks.
+// final ids+hops payload) and one R·n counter array, so each walk is
+// generated exactly once. Each (node, replicate) walk is seeded
+// independently from the master seed, so the parallel builder produces the
+// same walks.
 func Build(g *graph.Graph, L, R int, seed uint64) (*Index, error) {
 	return BuildWorkers(g, L, R, seed, 1)
 }
 
 // walkBuffer holds one worker's buffered walk visits: walk t of the
-// worker's (node, replicate) sequence emitted lens[t] first visits, stored
-// consecutively in vs/hops. Buffering costs one transient copy of the entry
-// data but means the RNG, PickNeighbor and visited-stamp work per walk
-// happens once instead of twice (generate-to-count, regenerate-to-fill).
+// worker's replicate-outer (replicate, node) sequence emitted lens[t] first
+// visits, stored consecutively in vs/hops. Buffering costs one transient
+// copy of the entry data but means the RNG, PickNeighbor and visited-stamp
+// work per walk happens once instead of twice (generate-to-count,
+// regenerate-to-fill). After the first replicate the buffer is presized
+// from that replicate's entries per walk (reserve), so the remaining
+// replicates append without regrowing.
 type walkBuffer struct {
 	vs   []int32
 	hops []uint16
 	lens []uint16
 }
 
-// BuildWorkers is Build sharded over the given number of goroutines.
-// The walk set is identical for every worker count (per-walk seeding);
-// only the order of entries within an index row may differ, which no
-// consumer observes: Gain and EstimateObjective accumulate in integers, so
-// selections are bit-for-bit reproducible regardless of parallelism.
+// reserve grows the buffer's capacity by another walks walks at the
+// entries-per-walk rate of the done walks buffered so far, plus 1/8 slack.
+// It is only a capacity hint: walks that emit more still fit, through
+// append.
+func (b *walkBuffer) reserve(done, walks int) {
+	if done == 0 {
+		return
+	}
+	more := int64(len(b.vs)) * int64(walks) / int64(done)
+	more += more / 8
+	b.vs = slices.Grow(b.vs, int(more))
+	b.hops = slices.Grow(b.hops, int(more))
+}
+
+// BuildWorkers is Build sharded over the given number of goroutines. The
+// index is byte-identical for every worker count: the walk set is the same
+// (per-walk seeding), and every row lists its sources in ascending order
+// (see BuildRangeWorkers). Repair parity, the spill skip-respill identity
+// check and the shard parity suites all rely on that canonical row order.
 func BuildWorkers(g *graph.Graph, L, R int, seed uint64, workers int) (*Index, error) {
 	if R <= 0 {
 		return nil, fmt.Errorf("index: sample size R = %d, want > 0", R)
@@ -225,7 +244,25 @@ func BuildWorkers(g *graph.Graph, L, R int, seed uint64, workers int) (*Index, e
 // ranges therefore add up to the full-build sums exactly, which is what lets
 // a replicate-sharded deployment merge partial answers bit-for-bit.
 // BuildWorkers is BuildRangeWorkers over [0, R).
+//
+// Each worker owns a consecutive source range and generates its walks
+// replicate-outer (for each replicate, every source in the range), counting
+// them in private replicate-major counters (index i·n+v), so all increments
+// for one replicate land in an n-entry window that stays cache-resident.
+// Rows come out sorted by source at every worker count: row (v, i) receives
+// only replicate-i walks, each worker writes its consecutive sub-range of
+// the row in source order, and the sub-ranges are laid out in worker order.
 func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) (*Index, error) {
+	return buildRange(g, L, seed, r0, r1, workers, privateBudget)
+}
+
+// privateBudget caps the transient memory of the per-worker row counters;
+// larger row spaces fall back to shared atomic counters.
+const privateBudget = 1 << 28 // 256 MiB
+
+// buildRange is BuildRangeWorkers with the private-counter budget as a
+// parameter, so tests can force the shared-counter fallback.
+func buildRange(g *graph.Graph, L int, seed uint64, r0, r1, workers int, budget int64) (*Index, error) {
 	if L < 0 {
 		return nil, fmt.Errorf("index: negative walk length %d", L)
 	}
@@ -236,26 +273,26 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 		return nil, fmt.Errorf("index: replicate range [%d, %d) invalid, want 0 <= r0 < r1", r0, r1)
 	}
 	R := r1 - r0
-	if workers < 1 {
-		workers = 1
-	}
 	n := g.N()
-	if workers > n {
-		workers = n
+	// Worker wk owns sources [wk·per, min((wk+1)·per, n)); drop the workers
+	// the rounding leaves without a range.
+	workers = max(1, min(workers, n))
+	per := (n + workers - 1) / workers
+	if per > 0 {
+		workers = (n + per - 1) / per
 	}
 	ix := &Index{g: g, l: L, r: R, rbase: r0, seed: seed, gepoch: g.Epoch()}
 	rows := R * n
 	counts := make([]int64, rows+1)
 
-	// Sharded workers collide on row counters and row cursors (rows are
-	// keyed by visited node, not by the source shard). Two schemes:
-	// per-worker private counter/cursor arrays (no atomics, no cache-line
-	// ping-pong between cores — the fast path), or shared arrays with
-	// atomic increments when the private arrays would cost too much
-	// transient memory on huge row spaces.
-	const privateBudget = 1 << 28 // 256 MiB of per-worker counters
-	private := workers > 1 && int64(workers)*int64(rows)*8 <= privateBudget
-	atomicOps := workers > 1 && !private
+	// Workers collide on rows (rows are keyed by visited node, not by the
+	// source range), so each worker counts into its own replicate-major
+	// counter array, later turned into its own write cursors: no atomics, no
+	// cache-line ping-pong between cores. When those arrays would cost too
+	// much transient memory, workers share candidate-major counters in
+	// counts with atomic increments instead; rows then hold the same entries
+	// in scheduling order.
+	private := int64(workers)*int64(rows)*8 <= budget
 	var perWorker [][]int64
 	if private {
 		perWorker = make([][]int64, workers)
@@ -263,53 +300,49 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 			perWorker[wk] = make([]int64, rows)
 		}
 	}
+	// window returns worker wk's counters (cursors in pass 2) for replicate
+	// i, indexed by visited node; nil on the shared path.
+	window := func(wk, i int) []int64 {
+		if !private {
+			return nil
+		}
+		return perWorker[wk][i*n : (i+1)*n]
+	}
 
-	// shard runs fn over worker-private node ranges.
+	// shard runs fn over the workers' node ranges.
 	shard := func(fn func(worker, lo, hi int)) {
 		if workers == 1 {
 			fn(0, 0, n)
 			return
 		}
 		var wg sync.WaitGroup
-		per := (n + workers - 1) / workers
 		for wk := 0; wk < workers; wk++ {
-			lo := wk * per
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
 			wg.Add(1)
 			go func(wk, lo, hi int) {
 				defer wg.Done()
 				fn(wk, lo, hi)
-			}(wk, lo, hi)
+			}(wk, wk*per, min((wk+1)*per, n))
 		}
 		wg.Wait()
 	}
 
 	// Pass 1: generate every walk once, buffering its first visits and
-	// counting row sizes (candidate-major row id v·R+i).
+	// counting row sizes.
 	bufs := make([]walkBuffer, workers)
 	shard(func(wk, lo, hi int) {
 		visited := make([]uint32, n)
 		var generation uint32
 		var rnd rng.Source
-		var mine []int64
-		if private {
-			mine = perWorker[wk]
-		}
+		// Size the first replicate at a quarter of its L-per-walk bound
+		// (append grows the dense cases); reserve presizes the rest.
 		buf := walkBuffer{
-			// Start at a quarter of the nRL upper bound; append grows the
-			// rare dense cases.
-			vs:   make([]int32, 0, (hi-lo)*R*(L/4+1)),
-			hops: make([]uint16, 0, (hi-lo)*R*(L/4+1)),
+			vs:   make([]int32, 0, (hi-lo)*(L/4+1)),
+			hops: make([]uint16, 0, (hi-lo)*(L/4+1)),
 			lens: make([]uint16, 0, (hi-lo)*R),
 		}
-		for w := lo; w < hi; w++ {
-			for i := 0; i < R; i++ {
+		for i := 0; i < R; i++ {
+			win := window(wk, i)
+			for w := lo; w < hi; w++ {
 				rnd.Seed(rng.Mix(seed, uint64(w), uint64(r0+i)))
 				generation++
 				visited[w] = generation
@@ -325,36 +358,40 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 						buf.vs = append(buf.vs, int32(v))
 						buf.hops = append(buf.hops, uint16(j))
 						emitted++
-						row := int64(v)*int64(R) + int64(i)
-						switch {
-						case mine != nil:
-							mine[row]++
-						case atomicOps:
-							atomic.AddInt64(&counts[row+1], 1)
-						default:
-							counts[row+1]++
+						if win != nil {
+							win[v]++
+						} else {
+							atomic.AddInt64(&counts[int64(v)*int64(R)+int64(i)+1], 1)
 						}
 					}
 					u = v
 				}
 				buf.lens = append(buf.lens, emitted)
 			}
+			if i == 0 {
+				buf.reserve(hi-lo, (R-1)*(hi-lo))
+			}
 		}
 		bufs[wk] = buf
 	})
 	ix.offsets = counts
 	if private {
-		// Merge the private counters into CSR starts, and in the same pass
-		// turn each worker's counter into its absolute write cursor: workers
-		// own disjoint, consecutive sub-ranges of every row, so pass 2 needs
-		// no synchronization at all.
+		// Merge the private counters into candidate-major CSR starts, and in
+		// the same pass turn each worker's counter into its absolute write
+		// cursor: workers own disjoint, consecutive sub-ranges of every row,
+		// in worker order, so pass 2 needs no synchronization at all. One v
+		// touches R·workers counter cache lines, which stay in L1 for the
+		// next several v.
 		run := int64(0)
-		for row := 0; row < rows; row++ {
-			ix.offsets[row] = run
-			for wk := 0; wk < workers; wk++ {
-				c := perWorker[wk][row]
-				perWorker[wk][row] = run
-				run += c
+		for v := 0; v < n; v++ {
+			for i := 0; i < R; i++ {
+				ix.offsets[v*R+i] = run
+				k := i*n + v
+				for _, mine := range perWorker {
+					c := mine[k]
+					mine[k] = run
+					run += c
+				}
 			}
 		}
 		ix.offsets[rows] = run
@@ -367,40 +404,32 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 	ix.ids = make([]int32, total)
 	ix.hops = make([]uint16, total)
 
-	// Pass 2: replay the buffers — a sequential read — and scatter entries
-	// into their rows. On the private path each worker claims slots from its
-	// own cursor array; otherwise slots are claimed directly from offsets
-	// (offsets[row] is the next free slot of its row, atomically when
-	// sharded), and the starts are restored by one shift afterwards,
-	// avoiding a separate cursor array.
+	// Pass 2: replay the buffers — a sequential read — in their (replicate,
+	// node) order and scatter entries into their rows. On the private path
+	// each worker claims slots from its own cursor window; on the shared path
+	// slots are claimed atomically from offsets (offsets[row] is the next
+	// free slot of its row), and the starts are restored by one shift
+	// afterwards, avoiding a separate cursor array.
 	shard(func(wk, lo, hi int) {
 		buf := bufs[wk]
-		var mine []int64
-		if private {
-			mine = perWorker[wk]
-		}
 		pos, t := 0, 0
-		for w := lo; w < hi; w++ {
-			ww := int32(w)
-			for i := 0; i < R; i++ {
-				cnt := int(buf.lens[t])
+		for i := 0; i < R; i++ {
+			win := window(wk, i)
+			for w := lo; w < hi; w++ {
+				ww := int32(w)
+				end := pos + int(buf.lens[t])
 				t++
-				for e := 0; e < cnt; e++ {
-					row := int64(buf.vs[pos])*int64(R) + int64(i)
+				for ; pos < end; pos++ {
+					v := buf.vs[pos]
 					var c int64
-					switch {
-					case mine != nil:
-						c = mine[row]
-						mine[row] = c + 1
-					case atomicOps:
-						c = atomic.AddInt64(&ix.offsets[row], 1) - 1
-					default:
-						c = ix.offsets[row]
-						ix.offsets[row] = c + 1
+					if win != nil {
+						c = win[v]
+						win[v] = c + 1
+					} else {
+						c = atomic.AddInt64(&ix.offsets[int64(v)*int64(R)+int64(i)], 1) - 1
 					}
 					ix.ids[c] = ww
 					ix.hops[c] = buf.hops[pos]
-					pos++
 				}
 			}
 		}

@@ -22,7 +22,7 @@ type storeVariant struct {
 }
 
 // storeVariants is the serving matrix: raw mmap (zero-copy page aliasing),
-// compressed on-heap (decode-on-read off a heap buffer), hybrid
+// compressed on-heap (every chunk decoded once at load), hybrid
 // (compressed + mmap + hot-row cache — the -mmap production mode), and
 // hybrid with the hot-row cache disabled (every read decodes).
 func storeVariants() []storeVariant {
