@@ -231,18 +231,19 @@ func selectWithCachedIndex(g *rwdom.Graph, prob rwdom.Problem, opts rwdom.Option
 }
 
 // loadOrBuildIndex loads the walk index from path if it exists (validating
-// it against the graph), otherwise builds and saves it.
+// it against the graph and the run's L, R and seed), otherwise builds and
+// saves it.
 func loadOrBuildIndex(g *rwdom.Graph, opts rwdom.Options, path string) (*rwdom.Index, error) {
 	if _, statErr := os.Stat(path); statErr == nil {
 		loaded, err := rwdom.LoadIndexFile(path, g)
 		if err != nil {
-			// Unreadable cache (old format version, corruption, or an index
-			// built on a different graph): rebuilding is cheap and always
-			// what the user wants here, so warn and fall through.
+			// Unreadable cache (a retired format such as v7, corruption, or
+			// an index built on a different graph): rebuilding is cheap and
+			// always what the user wants here, so warn and fall through.
 			fmt.Fprintf(os.Stderr, "rwdom: cached index %s unusable (%v), rebuilding\n", path, err)
-		} else if loaded.L() != opts.L || loaded.R() != opts.R {
-			return nil, fmt.Errorf("cached index has L=%d R=%d, run requested L=%d R=%d (delete %s to rebuild)",
-				loaded.L(), loaded.R(), opts.L, opts.R, path)
+		} else if loaded.L() != opts.L || loaded.R() != opts.R || loaded.Seed() != opts.Seed || loaded.R0() != 0 {
+			return nil, fmt.Errorf("cached index has L=%d R=%d seed=%d R0=%d, run requested L=%d R=%d seed=%d (delete %s to rebuild)",
+				loaded.L(), loaded.R(), loaded.Seed(), loaded.R0(), opts.L, opts.R, opts.Seed, path)
 		} else {
 			fmt.Printf("loaded index from %s (%d entries)\n", path, loaded.Entries())
 			return loaded, nil

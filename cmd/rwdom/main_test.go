@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -113,5 +114,10 @@ func TestSelectWithCachedIndex(t *testing.T) {
 	badOpts.R = 99
 	if _, err := selectWithCachedIndex(g, rwdom.Problem2, badOpts, path); err == nil {
 		t.Error("R mismatch accepted")
+	}
+	badOpts = opts
+	badOpts.Seed = 2
+	if _, err := selectWithCachedIndex(g, rwdom.Problem2, badOpts, path); err == nil || !strings.Contains(err.Error(), "delete") {
+		t.Errorf("seed mismatch: err %v, want the delete-to-rebuild error", err)
 	}
 }

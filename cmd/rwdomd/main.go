@@ -16,7 +16,7 @@
 //	rwdomd -dataset CAGrQc -cache 4 -evict-every 10m -drain 30s -memo 256
 //	rwdomd -dataset Epinions -index-bytes 2GiB -memo-bytes 256MiB
 //	rwdomd -dataset Epinions -spill /var/cache/rwdomd -mmap   # O(1) page-in warm restarts
-//	rwdomd -dataset Epinions -spill /var/cache/rwdomd -spill-format v7   # legacy spill format
+//	rwdomd -dataset Epinions -spill /var/cache/rwdomd -spill-format v8raw   # raw sections: no decode, larger files
 //
 // Replicate-sharded serving splits the R walk replicates across shards and
 // merges their integer partial sums exactly, so sharded answers are
@@ -128,7 +128,7 @@ func main() {
 		listen     = flag.String("listen", ":7474", "HTTP listen address")
 		cacheSize  = flag.Int("cache", 8, "max resident walk indexes (<0 = unbounded)")
 		spillDir   = flag.String("spill", "", "directory for evicted/shutdown index spills (empty = disabled)")
-		spillFmt   = flag.String("spill-format", "v8", "on-disk format spills are written in: v8 (compressed store container; a heap load decodes it once, a -mmap load decodes on read), v8raw (raw page-aligned sections), or v7 (legacy); loads accept every format")
+		spillFmt   = flag.String("spill-format", "v8", "on-disk format spills are written in: v8 (compressed store container; a heap load decodes it once, a -mmap load decodes on read) or v8raw (raw page-aligned sections); loads read both, and a file in any other format is rebuilt")
 		mmapSpills = flag.Bool("mmap", false, "serve v8 spill loads off a read-only memory mapping (page-in warm restarts, mapped indexes cost ~nothing against -index-bytes)")
 		workers    = flag.Int("workers", 0, "default per-request workers (0 = all cores)")
 		maxWorkers = flag.Int("max-workers", 0, "cap on the per-request workers knob (0 = all cores)")

@@ -184,11 +184,12 @@
 // Spilled indexes are written in format v8, a page-aligned container
 // (internal/store) with a per-chunk directory, CRC32-C on every section,
 // and optionally delta/varint-compressed walk spans (the default; roughly
-// 2-3x smaller files). Loads sniff the magic, so v7 and older spill
-// directories keep warm-loading after an upgrade. WithMmapSpills serves
+// 2-3x smaller files). v8 is the only format written or read: a spill
+// file in the retired v7 stream format fails to load like a corrupt one
+// and costs one counted rebuild. WithMmapSpills serves
 // warm loads straight off a read-only memory mapping: a restart maps and
-// CRC-verifies the file instead of deserializing it (O(1)-ish page-in
-// restart, ~13x faster in BenchmarkWarmRestart), rows page in as queries
+// CRC-verifies the file instead of reading and decoding it (O(1)-ish
+// page-in restart, see BenchmarkWarmRestart), rows page in as queries
 // touch them, and mapped indexes cost nothing against the index-bytes
 // budget — the working set may exceed RAM. A heap load (the default)
 // decodes compressed spans once, at load, into the arrays a fresh build
@@ -199,7 +200,7 @@
 // bit-identical to heap answers (a parity suite enforces it across
 // formats, problems, layouts, growth and repair — Repair first promotes
 // a mapped index onto the heap, since the mapping is read-only).
-// WithSpillFormat selects the writer ("v8", "v8raw", "v7"); corruption
+// WithSpillFormat selects the writer ("v8" or "v8raw"); corruption
 // anywhere in a spill file fails the open and triggers a counted rebuild,
 // never a wrong answer. Engine.Stats.Storage (and the daemon's /stats
 // "storage" block) reports the effective format plus mapped-index,

@@ -72,9 +72,10 @@ type Config struct {
 	// so later misses and restarts skip the build.
 	SpillDir string
 	// SpillFormat selects what spill saves write: "v8" (compressed store
-	// container, the default), "v8raw" (raw page-aligned sections), or "v7"
-	// (legacy full-deserialize format). Loads sniff the file magic and accept
-	// every format regardless of this setting. Without MmapSpills a v8 load
+	// container, the default) or "v8raw" (raw page-aligned sections); New
+	// rejects any other name. Loads read both encodings regardless of this
+	// setting; a file in any other format (the retired v7 stream included)
+	// costs a counted rebuild. Without MmapSpills a v8 load
 	// decodes compressed chunks once, at load, so the loaded index serves at
 	// heap speed and counts its full decoded size against IndexBytes.
 	SpillFormat string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,13 @@ func TestErrorCodes(t *testing.T) {
 	// a timeout-coded error.
 	if _, err := e.Select(ctx, SelectRequest{Graph: "test", K: 3, L: 6, R: 100, Seed: 77, Timeout: time.Millisecond}); CodeOf(err) != CodeTimeout {
 		t.Fatalf("timeout: code %q, want %q", CodeOf(err), CodeTimeout)
+	}
+
+	// The retired v7 spill format is rejected at construction like any
+	// unknown name, and the error names the formats that are accepted.
+	if _, err := New(Config{Graphs: map[string]*graph.Graph{"test": testGraph(t, 50, 1)}, SpillFormat: "v7"}); CodeOf(err) != CodeBadRequest ||
+		!strings.Contains(err.Error(), "v8") || !strings.Contains(err.Error(), "v8raw") {
+		t.Fatalf("spill format v7: err %v (code %q), want a bad request naming v8 and v8raw", err, CodeOf(err))
 	}
 
 	// Aborted engine (drain/hard-stop): computations die with the draining

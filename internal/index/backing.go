@@ -8,7 +8,7 @@ import (
 )
 
 // Store-backed indexes. Every build path leaves an Index heap-resident:
-// offsets/ids/hops are owned heap arrays. LoadStore binds a format-v8 store
+// offsets/ids/hops are owned heap arrays. LoadAny binds a format-v8 store
 // file (internal/store) instead, in one of three ways:
 //
 //   - raw chunks alias their CSR arrays straight out of the file's mapping
@@ -35,7 +35,7 @@ import (
 // PROT_READ): Repair promotes the index to owned heap arrays first — see
 // Promote, the store→heap copy-on-write path.
 
-// StoreOptions configures how LoadStore binds a store file.
+// StoreOptions configures how LoadAny binds a store file.
 type StoreOptions struct {
 	// Mmap serves the file through a read-only mapping (O(1)-page-in warm
 	// restart, larger-than-RAM serving; compressed chunks decode on read).
@@ -102,13 +102,16 @@ func (ix *Index) storeComplete() bool {
 	return ix.origin != nil && ix.origin.id.R == ix.r && ix.origin.id.Epoch == ix.gepoch
 }
 
-// LoadStore opens a v8 store file and binds it to g as a serving Index,
-// verifying the full build identity exactly as the v7 reader does
-// (fingerprint, epoch, node count). A single-chunk file loads as a flat
-// index, a multi-chunk file as a chunked index with its written boundaries.
-// On a heap load every compressed chunk is decoded here, so a malformed
-// block fails the load instead of serving an empty row.
-func LoadStore(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
+// LoadAny opens a v8 store file and binds it to g as a serving Index. It
+// fails if the file was built on a different graph (detected by
+// fingerprint), at a different graph epoch, or over a different node count,
+// and on any corruption store.Open detects — including a file in the
+// retired v7 stream format, whose magic it does not know. A single-chunk
+// file loads as a flat index, a multi-chunk file as a chunked index with
+// its written boundaries. On a heap load every compressed chunk is decoded
+// here, so a malformed block fails the load instead of serving an empty
+// row.
+func LoadAny(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
 	f, err := store.Open(path, store.OpenOptions{Mmap: opt.Mmap, HotRows: opt.HotRows})
 	if err != nil {
 		return nil, err

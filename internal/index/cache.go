@@ -62,18 +62,18 @@ type Cache struct {
 // against the bytes budget.
 type SpillConfig struct {
 	// Format is what spill saves write: FormatV8 (compressed store
-	// container, the default), FormatV8Raw (store container with raw
-	// page-aligned sections), or FormatV7 (legacy). Loads always sniff the
-	// file magic and accept every format, so changing the write format
-	// never invalidates an existing spill directory.
+	// container, the default) or FormatV8Raw (store container with raw
+	// page-aligned sections). Loads read either, so changing the write
+	// format never invalidates an existing spill directory; a file in any
+	// other format (the retired v7 stream included) fails to load and
+	// counts as one spill load error and a rebuild.
 	Format string
 	// Mmap serves v8 spill loads store-backed through a read-only mapping:
 	// a warm restart pages rows in on demand instead of deserializing, and
 	// the loaded index costs ~nothing against the cache's bytes budget
 	// (its pages are reclaimable page cache, not heap). Compressed chunks
 	// of a mapped file stay compressed and decode on read through a
-	// hot-row cache, the one mode that still does. v7 files always fully
-	// deserialize.
+	// hot-row cache, the one mode that still does.
 	Mmap bool
 	// HotRows sizes the decoded-block cache of each compressed chunk of a
 	// mapped spill (see store.OpenOptions): 0 means store.DefaultHotRows,
@@ -91,10 +91,10 @@ func (sc SpillConfig) format() string {
 
 func (sc SpillConfig) validate() error {
 	switch sc.format() {
-	case FormatV7, FormatV8, FormatV8Raw:
+	case FormatV8, FormatV8Raw:
 		return nil
 	default:
-		return fmt.Errorf("index: unknown spill format %q (want %s, %s or %s)", sc.Format, FormatV8, FormatV8Raw, FormatV7)
+		return fmt.Errorf("index: unknown spill format %q (want %s or %s)", sc.Format, FormatV8, FormatV8Raw)
 	}
 }
 
@@ -305,7 +305,7 @@ func (c *Cache) Adopt(key CacheKey, ix *Index) error {
 // loadOrBuild tries the spill directory, then falls back to build. A spill
 // file is only trusted if every build parameter matches the key — L, R and
 // the build seed (serialized in the spill header) — on top of the graph
-// fingerprint LoadFile already verifies, so an FNV path collision or a
+// fingerprint LoadAny already verifies, so an FNV path collision or a
 // stale file can never warm-load an index built with different parameters
 // and silently change every answer.
 func (c *Cache) loadOrBuild(key CacheKey, g *graph.Graph, build func() (*Index, error)) (*Index, bool, error) {
@@ -358,50 +358,15 @@ func (c *Cache) spillPath(key CacheKey) string {
 	return filepath.Join(c.spillDir, fmt.Sprintf("idx-%016x.rwdomidx", h.Sum64()))
 }
 
-// saveAtomic writes ix to path in the configured format via a temp file +
-// fsync + rename, so concurrent spill-loads never observe a partially
-// written index, two spillers of the same key cannot interleave, and a
-// crash between the write and the rename can never publish a torn file
-// under the final name — the same durability contract graph saves follow.
-// (A torn file would still only cost a counted rebuild thanks to the CRCs,
-// but the fsync keeps the failure mode "old file or new file", never
-// "garbage file".)
-func saveAtomic(ix *Index, path string, cfg SpillConfig) error {
+// saveSpill writes ix to path in the configured format through saveAtomic,
+// so concurrent spill-loads and duplicate spillers of the same key only
+// ever see the old file or the new one. SiteSpillSave injects its faults
+// here, on the spill path only.
+func saveSpill(ix *Index, path string, cfg SpillConfig) error {
 	if err := faultinject.Do(faultinject.SiteSpillSave); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	tmp := f.Name()
-	switch cfg.format() {
-	case FormatV7:
-		_, err = ix.WriteTo(f)
-	case FormatV8Raw:
-		_, err = ix.WriteStore(f, false)
-	default: // FormatV8
-		_, err = ix.WriteStore(f, true)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	return nil
+	return ix.saveAtomic(path, cfg.format() == FormatV8)
 }
 
 // spill persists evicted entries to the spill directory, when configured.
@@ -416,7 +381,7 @@ func (c *Cache) spill(victims []cache.Entry[CacheKey, *Index]) {
 			skipped++
 			continue
 		}
-		if err := saveAtomic(v.Value, path, c.spillCfg); err == nil {
+		if err := saveSpill(v.Value, path, c.spillCfg); err == nil {
 			saved++
 		} else {
 			failed++
@@ -518,7 +483,7 @@ func (c *Cache) SpillAll() error {
 			skipped++
 			continue
 		}
-		if err := saveAtomic(e.Value, path, c.spillCfg); err != nil {
+		if err := saveSpill(e.Value, path, c.spillCfg); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", e.Key, err))
 		} else {
 			saved++
@@ -566,7 +531,7 @@ func (c *Cache) Stats() CacheStats {
 // resident store-backed index. Snapshot via Cache.StorageStats; the serving
 // layer renders it as the /stats "storage" block.
 type StorageStats struct {
-	// SpillFormat is the effective write format (v8, v8raw, or v7); Mmap
+	// SpillFormat is the effective write format (v8 or v8raw); Mmap
 	// reports whether v8 spill loads serve store-backed off mapped pages.
 	SpillFormat string
 	Mmap        bool

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/graph"
@@ -208,65 +209,76 @@ func TestMaxRowLenParity(t *testing.T) {
 	}
 }
 
-// TestChunkedSerializeRoundTrip pins the v7 container: a chunked index
-// round-trips with its chunk boundaries intact and identical answers, and a
-// flat index still loads back flat.
+// TestChunkedSerializeRoundTrip pins the chunked store container: a chunked
+// index round-trips with its chunk boundaries intact and identical answers,
+// and a flat index still loads back flat, in both the raw and compressed
+// encodings.
 func TestChunkedSerializeRoundTrip(t *testing.T) {
 	g, _ := graph.BarabasiAlbert(90, 3, 19)
 	chk, _ := BuildChunkedWorkers(g, 4, 10, 33, 4, 2)
-	var buf bytes.Buffer
-	nw, err := chk.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", nw, buf.Len())
-	}
-	back, err := ReadIndex(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Chunked() || back.Chunks() != 3 || back.R() != 10 || back.Entries() != chk.Entries() {
-		t.Fatalf("round trip lost chunk structure: chunks = %d R = %d", back.Chunks(), back.R())
-	}
-	for _, p := range []Problem{Problem1, Problem2} {
-		a, _ := chk.NewDTable(p)
-		b, _ := back.NewDTable(p)
-		for _, u := range []int{0, 7, 44, 89} {
-			if a.Gain(u) != b.Gain(u) {
-				t.Fatalf("%v: gain mismatch at %d after round trip", p, u)
-			}
-			a.Update(u)
-			b.Update(u)
-		}
-	}
 	flat, _ := Build(g, 4, 10, 33)
-	buf.Reset()
-	if _, err := flat.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := ReadIndex(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.Chunked() {
-		t.Fatal("flat index loaded back chunked")
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		nw, err := chk.WriteStore(&buf, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nw != int64(buf.Len()) {
+			t.Fatalf("WriteStore reported %d bytes, buffer has %d", nw, buf.Len())
+		}
+		back, err := loadBytes(t, buf.Bytes(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Chunked() || back.Chunks() != 3 || back.R() != 10 || back.Entries() != chk.Entries() {
+			t.Fatalf("compress=%v: round trip lost chunk structure: chunks = %d R = %d", compress, back.Chunks(), back.R())
+		}
+		for c := 0; c < chk.Chunks(); c++ {
+			if got, want := back.parts[c].rbase, chk.parts[c].rbase; got != want {
+				t.Fatalf("compress=%v: chunk %d starts at replicate %d, want %d", compress, c, got, want)
+			}
+		}
+		for _, p := range []Problem{Problem1, Problem2} {
+			a, _ := chk.NewDTable(p)
+			b, _ := back.NewDTable(p)
+			for _, u := range []int{0, 7, 44, 89} {
+				if a.Gain(u) != b.Gain(u) {
+					t.Fatalf("compress=%v %v: gain mismatch at %d after round trip", compress, p, u)
+				}
+				a.Update(u)
+				b.Update(u)
+			}
+		}
+		buf.Reset()
+		if _, err := flat.WriteStore(&buf, compress); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := loadBytes(t, buf.Bytes(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fb.Chunked() {
+			t.Fatalf("compress=%v: flat index loaded back chunked", compress)
+		}
 	}
 }
 
 // TestChunkedCorruptChunkRejected flips one payload byte of a middle chunk
-// and expects the per-chunk CRC to report it.
+// and expects the per-section CRC to report it.
 func TestChunkedCorruptChunkRejected(t *testing.T) {
 	g, _ := graph.BarabasiAlbert(60, 2, 23)
 	chk, _ := BuildChunkedWorkers(g, 4, 9, 3, 3, 1)
 	var buf bytes.Buffer
-	if _, err := chk.WriteTo(&buf); err != nil {
+	if _, err := chk.WriteStore(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0x10
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+	// Chunk 1's directory entry follows the 108-byte header and chunk 0's
+	// 104-byte entry; its word 7 is the byte offset of the chunk's ids
+	// section.
+	bad := append([]byte(nil), buf.Bytes()...)
+	idsOff := binary.LittleEndian.Uint64(bad[108+104+7*8:])
+	bad[idsOff] ^= 0x10
+	if _, err := loadBytes(t, bad, g); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	}
 }

@@ -36,8 +36,9 @@
 // deterministic slice of the flat build, so integer gain/objective partials
 // summed across chunks equal the flat sums exactly, and a chunked index can
 // grow one chunk at a time (ExtendReplicates) — the mechanism behind
-// adaptive accuracy budgets. The on-disk format (serialize.go, v7) stores
-// one payload + CRC per chunk; a flat index serializes as a single chunk.
+// adaptive accuracy budgets. The on-disk format (serialize_store.go, v8)
+// stores one directory entry + CRC'd sections per chunk; a flat index
+// serializes as a single chunk.
 //
 // Gains are pure reads of the D-table between Update calls and accumulate
 // in integers, so GainBatch may be invoked concurrently from any number of
@@ -133,7 +134,7 @@ type Index struct {
 	// is non-nil, row k is ids[offsets[k]:ends[k]], rows need not be adjacent
 	// or in order, and dead counts unreachable slots (shrunken-row slack and
 	// relocated rows' old storage). Compact restores the canonical compact
-	// form; WriteTo always serializes it, so the on-disk format never sees
+	// form; WriteStore always serializes it, so the on-disk format never sees
 	// patched layout.
 	offsets []int64
 	ids     []int32

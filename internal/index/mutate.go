@@ -73,7 +73,7 @@ func (s *entrySorter) Swap(i, j int) {
 // arrays to a rebuild is bit-identical, which the parity tests assert.
 //
 // Repair mutates the index and is NOT safe to run concurrently with any
-// reader (Gain, Update, Row, EmptySetGains, WriteTo, ...); the engine
+// reader (Gain, Update, Row, EmptySetGains, WriteStore, ...); the engine
 // serializes it against in-flight queries. D-tables created before a Repair
 // are invalid afterwards and must be discarded.
 func (ix *Index) Repair(ng *graph.Graph, touched []int) error {
@@ -314,7 +314,7 @@ func (ix *Index) Compact() {
 
 // compacted returns a compact view of a flat index (or one chunk) for
 // serialization: the receiver itself when already compact, otherwise a shallow copy with
-// freshly compacted arrays — the receiver is never mutated, so WriteTo stays
+// freshly compacted arrays — the receiver is never mutated, so WriteStore stays
 // safe for concurrent readers of a compact index and never persists the
 // patched layout. A decode-on-read chunk whose blocks fail to decode returns
 // the error: persisting it any other way would give wrong rows valid CRCs.

@@ -243,9 +243,11 @@ func TestRepairDropsEmptySetMemos(t *testing.T) {
 	}
 }
 
-// TestWriteToSerializesPatchedAsCompact asserts serialization of a patched
-// index emits the canonical compact form without mutating the receiver, and
-// that the round-trip preserves the graph epoch.
+// TestWriteToSerializesPatchedAsCompact asserts that writing a patched
+// index to disk (WriteStore) emits the canonical compact form without
+// mutating the receiver, and that the round-trip preserves the graph epoch.
+// The file is raw so its rows keep the compacted entry order byte for byte
+// (the compressed encoding sorts each row by id).
 func TestWriteToSerializesPatchedAsCompact(t *testing.T) {
 	g, err := graph.BarabasiAlbert(50, 3, 17)
 	if err != nil {
@@ -260,13 +262,13 @@ func TestWriteToSerializesPatchedAsCompact(t *testing.T) {
 		t.Fatal("test premise: index should be patched after repair")
 	}
 	path := t.TempDir() + "/patched.rwdomidx"
-	if err := ix.SaveFile(path); err != nil {
+	if err := ix.saveAtomic(path, false); err != nil {
 		t.Fatal(err)
 	}
 	if ix.ends == nil {
-		t.Fatal("WriteTo compacted the receiver; it must serialize a copy")
+		t.Fatal("WriteStore compacted the receiver; it must serialize a copy")
 	}
-	loaded, err := LoadFile(path, g)
+	loaded, err := LoadAny(path, g, StoreOptions{})
 	if err != nil {
 		t.Fatalf("round-trip of a patched index: %v", err)
 	}

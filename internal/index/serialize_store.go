@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
-	"repro/internal/graph"
 	"repro/internal/store"
 )
 
-// Bridges between Index and the format-v8 store container (internal/store).
-// v7 (serialize.go) remains the legacy read-compatible format; v8 is what
-// spill saves write by default: page-aligned sections that load by mmap (or
-// one aligned read) instead of a stream deserialize, optionally with
-// delta/varint-compressed spans, which a heap load decodes once and a mapped
-// load decodes on read.
+// Serialization of materialized walk indexes. Building the index is the
+// dominant cost of the approximate greedy algorithm (Fig. 8), and the same
+// index serves every budget and both problems, so persisting it across runs
+// is the natural production optimization. The one on-disk format is the v8
+// store container (internal/store): page-aligned sections that load by mmap
+// (or one aligned read), optionally with delta/varint-compressed spans,
+// which a heap load decodes once and a mapped load decodes on read.
+// WriteStore is the encoder, SaveFile and spill saves write files through
+// it, and LoadAny (backing.go) is the loader.
 
 // Spill format names, as configured through engine.Config.SpillFormat and
 // the rwdomd -spill-format flag.
@@ -26,13 +29,11 @@ const (
 	// FormatV8Raw is the store container with raw page-aligned sections:
 	// zero decode work (reads alias the pages directly) at raw size.
 	FormatV8Raw = "v8raw"
-	// FormatV7 is the legacy full-deserialize format.
-	FormatV7 = "v7"
 )
 
 // storeChunks collects the index's chunks in compact form for the store
 // writer, materializing patched or decode-backed chunks without mutating
-// the receiver (same contract as WriteTo).
+// the receiver.
 func (ix *Index) storeChunks() ([]store.Chunk, error) {
 	parts, err := ix.compactParts()
 	if err != nil {
@@ -49,9 +50,10 @@ func (ix *Index) storeChunks() ([]store.Chunk, error) {
 }
 
 // WriteStore serializes the index in format v8 (compress selects
-// delta/varint spans vs raw sections). Like WriteTo it never mutates the
-// receiver and never writes the patched post-Repair layout; a chunk that
-// cannot be decoded fails the write before any byte is written.
+// delta/varint spans vs raw sections). It never mutates the receiver and
+// never writes the patched post-Repair layout; a chunk that cannot be
+// decoded fails the write before any byte is written. A flat index is
+// written as one chunk, a chunked index as one chunk per replicate chunk.
 func (ix *Index) WriteStore(w io.Writer, compress bool) (int64, error) {
 	chunks, err := ix.storeChunks()
 	if err != nil {
@@ -69,43 +71,40 @@ func (ix *Index) WriteStore(w io.Writer, compress bool) (int64, error) {
 	return store.Write(w, id, chunks, store.WriteOptions{Compress: compress})
 }
 
-// SaveStore writes the index to path in format v8.
-func (ix *Index) SaveStore(path string, compress bool) error {
-	f, err := os.Create(path)
+// SaveFile writes the index to path as a compressed v8 store file, for
+// LoadAny to read back.
+func (ix *Index) SaveFile(path string) error {
+	return ix.saveAtomic(path, true)
+}
+
+// saveAtomic writes the index to path via a temp file + fsync + rename, so
+// concurrent loads never observe a partially written index, two writers of
+// the same path cannot interleave, and a failed write or a crash between
+// the write and the rename can never publish a torn file under the final
+// name: the outcome is "old file or new file", never "garbage file".
+func (ix *Index) saveAtomic(path string, compress bool) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
+	tmp := f.Name()
 	if _, err := ix.WriteStore(f, compress); err != nil {
 		f.Close()
+		os.Remove(tmp)
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("index: %w", err)
+	}
 	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("index: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
-}
-
-// LoadAny loads an index from path, sniffing the format from the leading
-// magic: v8 store files load through internal/store (mmap'd when opt.Mmap),
-// v7 files through the legacy full deserialize — read-compatibility for
-// spill directories written by older daemons. Unknown magics are rejected.
-func LoadAny(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	var magic [8]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("index: sniff %s: %w", path, rerr)
-	}
-	switch string(magic[:]) {
-	case store.Magic:
-		return LoadStore(path, g, opt)
-	case indexMagic:
-		return LoadFile(path, g)
-	default:
-		return nil, fmt.Errorf("index: %s: unknown magic %q", path, magic[:])
-	}
 }

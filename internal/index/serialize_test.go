@@ -2,12 +2,24 @@ package index
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/store"
 )
+
+// loadBytes writes data to a temp file and loads it with LoadAny.
+func loadBytes(t testing.TB, data []byte, g *graph.Graph) (*Index, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadAny(path, g, StoreOptions{})
+}
 
 func TestIndexRoundTrip(t *testing.T) {
 	g, _ := graph.BarabasiAlbert(200, 3, 7)
@@ -16,14 +28,14 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
+	n, err := orig.WriteStore(&buf, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
+		t.Fatalf("WriteStore reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	back, err := ReadIndex(&buf, g)
+	back, err := loadBytes(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +69,14 @@ func TestIndexFileRoundTrip(t *testing.T) {
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path, g)
+	back, err := LoadAny(path, g, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Entries() != orig.Entries() {
 		t.Fatal("file round trip lost entries")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.idx"), g); err == nil {
+	if _, err := LoadAny(filepath.Join(t.TempDir(), "missing.idx"), g, StoreOptions{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -74,12 +86,27 @@ func TestLoadAgainstWrongGraphRejected(t *testing.T) {
 	g2, _ := graph.BarabasiAlbert(100, 2, 2) // same size, different structure
 	ix, _ := Build(g1, 4, 5, 1)
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WriteStore(&buf, true); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadIndex(&buf, g2)
+	_, err := loadBytes(t, buf.Bytes(), g2)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("wrong-graph load: got %v, want fingerprint mismatch", err)
+	}
+	// A file whose identity claims g1's fingerprint and epoch but one more
+	// node must still be rejected: the node-count check is the last line
+	// of defence behind the fingerprint.
+	const width = 1
+	rows := width * (g1.N() + 1)
+	buf.Reset()
+	id := store.Identity{Fingerprint: g1.Fingerprint(), Epoch: g1.Epoch(), N: g1.N() + 1, L: 4, R: width, Seed: 1}
+	chunks := []store.Chunk{{Width: width, Offsets: make([]int64, rows+1)}}
+	if _, err := store.Write(&buf, id, chunks, store.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = loadBytes(t, buf.Bytes(), g1)
+	if err == nil || !strings.Contains(err.Error(), "node count") {
+		t.Fatalf("wrong-node-count load: got %v, want node count mismatch", err)
 	}
 }
 
@@ -87,7 +114,7 @@ func TestCorruptStreamsRejected(t *testing.T) {
 	g, _ := graph.BarabasiAlbert(50, 2, 3)
 	ix, _ := Build(g, 3, 4, 5)
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WriteStore(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -95,36 +122,38 @@ func TestCorruptStreamsRejected(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] = 'X'
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+	if _, err := loadBytes(t, bad, g); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Bad version.
 	bad = append([]byte(nil), raw...)
 	bad[8] = 99
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+	if _, err := loadBytes(t, bad, g); err == nil {
 		t.Error("bad version accepted")
 	}
 	// Truncated payload.
-	if _, err := ReadIndex(bytes.NewReader(raw[:len(raw)/2]), g); err == nil {
+	if _, err := loadBytes(t, raw[:len(raw)/2], g); err == nil {
 		t.Error("truncated stream accepted")
 	}
-	// Corrupted entry: flip a node id byte deep in the payload to an
-	// out-of-range value. Locate the ids section: header is 8 + 7*8 bytes,
-	// then offsets (rows+1)*8 bytes.
-	rows := ix.R()*g.N() + 1
-	idsStart := 8 + 7*8 + rows*8
+	// Corrupted entry: overwrite a node id in the raw ids section with an
+	// out-of-range value. Sections start on page boundaries: offsets
+	// ((rows+1) int64) at the first page after the header, ids at the next
+	// page boundary after them.
+	const page = store.DefaultPageSize
+	offsetsSize := (ix.R()*g.N() + 1) * 8
+	idsStart := page + (offsetsSize+page-1)/page*page
 	if idsStart+4 < len(raw) {
 		bad = append([]byte(nil), raw...)
 		bad[idsStart] = 0xFF
 		bad[idsStart+1] = 0xFF
 		bad[idsStart+2] = 0xFF
 		bad[idsStart+3] = 0x7F // id = MaxInt32: out of range
-		if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+		if _, err := loadBytes(t, bad, g); err == nil {
 			t.Error("corrupt node id accepted")
 		}
 	}
 	// Empty stream.
-	if _, err := ReadIndex(bytes.NewReader(nil), g); err == nil {
+	if _, err := loadBytes(t, nil, g); err == nil {
 		t.Error("empty stream accepted")
 	}
 }

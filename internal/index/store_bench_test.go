@@ -10,20 +10,16 @@ import (
 )
 
 // BenchmarkWarmRestart measures what a daemon restart pays per warm index:
-// the legacy v7 full deserialize, a compressed v8 heap load (the default:
-// read, CRC-verify and decode every chunk once into owned arrays), and a v8
-// mmap open (CRC verification + mapping, no decode, rows page in and decode
-// on read). disk_bytes reports each format's on-disk size.
+// a compressed v8 heap load (the default: read, CRC-verify and decode every
+// chunk once into owned arrays) and a v8 mmap open (CRC verification +
+// mapping, no decode, rows page in and decode on read). disk_bytes reports
+// the file's on-disk size.
 func BenchmarkWarmRestart(b *testing.B) {
 	g, _ := graph.BarabasiAlbert(8000, 5, 1)
 	ix, _ := Build(g, 6, 20, 1)
 	dir := b.TempDir()
-	v7 := filepath.Join(dir, "ix.v7")
 	v8 := filepath.Join(dir, "ix.v8")
-	if err := ix.SaveFile(v7); err != nil {
-		b.Fatal(err)
-	}
-	if err := ix.SaveStore(v8, true); err != nil {
+	if err := ix.SaveFile(v8); err != nil {
 		b.Fatal(err)
 	}
 	size := func(path string) float64 {
@@ -34,17 +30,9 @@ func BenchmarkWarmRestart(b *testing.B) {
 		return float64(fi.Size())
 	}
 	// ReportMetric after the loop: ResetTimer deletes user-reported metrics.
-	b.Run("v7", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadFile(v7, g); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(size(v7), "disk_bytes")
-	})
 	b.Run("v8-heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := LoadStore(v8, g, StoreOptions{}); err != nil {
+			if _, err := LoadAny(v8, g, StoreOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -52,7 +40,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 	})
 	b.Run("v8-mmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := LoadStore(v8, g, StoreOptions{Mmap: true}); err != nil {
+			if _, err := LoadAny(v8, g, StoreOptions{Mmap: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,10 +57,10 @@ func BenchmarkStoreBackedGain(b *testing.B) {
 	g, _ := graph.BarabasiAlbert(2000, 5, 1)
 	heap, _ := Build(g, 6, 20, 1)
 	path := filepath.Join(b.TempDir(), "ix.v8")
-	if err := heap.SaveStore(path, true); err != nil {
+	if err := heap.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := LoadStore(path, g, StoreOptions{Mmap: true})
+	ix, err := LoadAny(path, g, StoreOptions{Mmap: true})
 	if err != nil {
 		b.Fatal(err)
 	}

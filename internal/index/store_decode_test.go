@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -71,10 +72,10 @@ func TestHeapLoadDecodesAtLoad(t *testing.T) {
 	for name, heap := range map[string]*Index{"flat": flat, "chunked": chunked} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ix.rwdomidx")
-			if err := heap.SaveStore(path, true); err != nil {
+			if err := heap.SaveFile(path); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadStore(path, g, StoreOptions{})
+			got, err := LoadAny(path, g, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,13 +107,10 @@ func TestHeapLoadRejectsMalformedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
-	if err := ix.SaveStore(path, true); err != nil {
+	if err := ix.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	breakFirstBlock(t, path)
-	if _, err := LoadStore(path, g, StoreOptions{}); !errors.Is(err, store.ErrMalformed) {
-		t.Fatalf("heap LoadStore over a malformed block: err = %v, want store.ErrMalformed", err)
-	}
 	if _, err := LoadAny(path, g, StoreOptions{}); !errors.Is(err, store.ErrMalformed) {
 		t.Fatalf("heap LoadAny over a malformed block: err = %v, want store.ErrMalformed", err)
 	}
@@ -190,9 +188,10 @@ func TestCacheSkipsRespillOfDecodedIndex(t *testing.T) {
 }
 
 // TestSpillOfUndecodableIndexFails: a decode-on-read index whose file holds a
-// malformed block cannot be serialized. WriteStore and WriteTo fail rather
-// than persist the block as an empty row with fresh, valid CRCs, and the
-// cache counts the failed spill and writes no file.
+// malformed block cannot be serialized. WriteStore fails rather than persist
+// the block as an empty row with fresh, valid CRCs, a failed SaveFile leaves
+// the file already at its path untouched, and the cache counts the failed
+// spill and writes no file.
 func TestSpillOfUndecodableIndexFails(t *testing.T) {
 	g := cacheTestGraph(t, 31)
 	key := CacheKey{Graph: "g", L: 4, R: 15, Seed: 3}
@@ -201,11 +200,11 @@ func TestSpillOfUndecodableIndexFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := filepath.Join(t.TempDir(), "src.rwdomidx")
-	if err := ix.SaveStore(src, true); err != nil {
+	if err := ix.SaveFile(src); err != nil {
 		t.Fatal(err)
 	}
 	breakFirstBlock(t, src)
-	mapped, err := LoadStore(src, g, StoreOptions{Mmap: true})
+	mapped, err := LoadAny(src, g, StoreOptions{Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +214,22 @@ func TestSpillOfUndecodableIndexFails(t *testing.T) {
 	if _, err := mapped.WriteStore(io.Discard, true); !errors.Is(err, store.ErrMalformed) {
 		t.Fatalf("WriteStore: err = %v, want store.ErrMalformed", err)
 	}
-	if _, err := mapped.WriteTo(io.Discard); !errors.Is(err, store.ErrMalformed) {
-		t.Fatalf("WriteTo: err = %v, want store.ErrMalformed", err)
+	dst := filepath.Join(t.TempDir(), "dst.rwdomidx")
+	if err := ix.SaveFile(dst); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.SaveFile(dst); !errors.Is(err, store.ErrMalformed) {
+		t.Fatalf("SaveFile: err = %v, want store.ErrMalformed", err)
+	}
+	if after, err := os.ReadFile(dst); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed SaveFile changed the previous file (read err %v)", err)
+	}
+	if tmps, _ := filepath.Glob(dst + ".tmp*"); len(tmps) != 0 {
+		t.Fatalf("failed SaveFile left temp files behind: %v", tmps)
 	}
 
 	// Adopted under its key, the index's origin is not the key's spill

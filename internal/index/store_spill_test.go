@@ -1,9 +1,12 @@
 package index
 
 import (
+	"encoding/binary"
 	"os"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // Cache-level corruption and compatibility tests for v8 spill files served
@@ -126,7 +129,7 @@ func TestCacheIgnoresStaleV8Spill(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mmapCache(t, dir, 4)
-	if err := other.SaveStore(c.spillPath(key), true); err != nil {
+	if err := other.SaveFile(c.spillPath(key)); err != nil {
 		t.Fatal(err)
 	}
 	var rebuilds atomic.Int64
@@ -147,43 +150,56 @@ func TestCacheIgnoresStaleV8Spill(t *testing.T) {
 	}
 }
 
-// TestCacheLoadsV7Spill is the read-compatibility contract: a spill
-// directory written by a v7 daemon keeps warm-loading after an upgrade —
-// the loader sniffs the magic, so the write-format default moving to v8
-// never invalidates existing spills.
-func TestCacheLoadsV7Spill(t *testing.T) {
+// TestCacheRebuildsOnLegacyV7Spill: the retired v7 stream format is one
+// more unreadable spill file. A file with the v7 magic at a key's path costs
+// exactly one counted load error and one build; SpillAll then rewrites it
+// as v8, and a fresh cache over the same directory warm-loads it without
+// building.
+func TestCacheRebuildsOnLegacyV7Spill(t *testing.T) {
 	dir := t.TempDir()
 	g := cacheTestGraph(t, 31)
 	key := CacheKey{Graph: "g", L: 4, R: 15, Seed: 3}
-	ix, err := Build(g, key.L, key.R, key.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := mmapCache(t, dir, 4)
-	if err := ix.SaveFile(c.spillPath(key)); err != nil { // legacy v7 writer
+	legacy := make([]byte, 4096)
+	copy(legacy, "RWDOMIDX")
+	binary.LittleEndian.PutUint64(legacy[8:], 7) // the v7 header's version word
+	if err := os.WriteFile(c.spillPath(key), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	h, err := c.Acquire(key, g, func() (*Index, error) {
-		builds.Add(1)
-		return nil, os.ErrInvalid // must not run
-	})
+	h, err := c.Acquire(key, g, buildFor(g, key, &builds))
 	if err != nil {
 		t.Fatalf("acquire over v7 spill: %v", err)
 	}
-	defer h.Release()
-	if builds.Load() != 0 {
-		t.Fatal("v7 spill file did not warm-load")
+	h.Release()
+	if builds.Load() != 1 {
+		t.Fatalf("builds = %d, want 1 (a v7 file must not load)", builds.Load())
 	}
-	if h.Index().StoreBacked() {
-		t.Fatal("v7 load must fully deserialize, not be store-backed")
+	if s := c.Stats(); s.SpillLoadErrors != 1 || s.SpillLoads != 0 {
+		t.Fatalf("SpillLoadErrors = %d, SpillLoads = %d, want 1, 0", s.SpillLoadErrors, s.SpillLoads)
 	}
-	s := c.Stats()
-	if s.SpillLoads != 1 {
-		t.Fatalf("SpillLoads = %d, want 1", s.SpillLoads)
+	if err := c.SpillAll(); err != nil {
+		t.Fatal(err)
 	}
-	if s.MmapLoads != 0 {
-		t.Fatalf("MmapLoads = %d, want 0 (v7 never maps)", s.MmapLoads)
+	b, err := os.ReadFile(c.spillPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic := string(b[:len(store.Magic)]); magic != store.Magic {
+		t.Fatalf("SpillAll left magic %q, want %q", magic, store.Magic)
+	}
+
+	c2 := mmapCache(t, dir, 4)
+	h2, err := c2.Acquire(key, g, buildFor(g, key, &builds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Release()
+	if builds.Load() != 1 {
+		t.Fatalf("builds = %d, want 1 (the rewritten v8 file must warm-load)", builds.Load())
+	}
+	if s := c2.Stats(); s.SpillLoads != 1 || s.SpillLoadErrors != 0 {
+		t.Fatalf("fresh cache: SpillLoads = %d, SpillLoadErrors = %d, want 1, 0", s.SpillLoads, s.SpillLoadErrors)
 	}
 }
 

@@ -38,15 +38,15 @@ func storeVariants() []storeVariant {
 func storeLoad(t *testing.T, ix *Index, v storeVariant) *Index {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
-	if err := ix.SaveStore(path, v.compress); err != nil {
-		t.Fatalf("SaveStore: %v", err)
+	if err := ix.saveAtomic(path, v.compress); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
-	got, err := LoadStore(path, ix.Graph(), v.opt)
+	got, err := LoadAny(path, ix.Graph(), v.opt)
 	if err != nil {
-		t.Fatalf("LoadStore(%s): %v", v.name, err)
+		t.Fatalf("LoadAny(%s): %v", v.name, err)
 	}
 	if !got.StoreBacked() {
-		t.Fatalf("LoadStore(%s): index not store-backed", v.name)
+		t.Fatalf("LoadAny(%s): index not store-backed", v.name)
 	}
 	if v.opt.Mmap && !got.StoreMapped() {
 		t.Skipf("mmap unavailable on this platform") // !unix heap fallback

@@ -84,7 +84,7 @@ type Config struct {
 	// indexes so later misses and restarts skip the build.
 	SpillDir string
 	// SpillFormat selects what spill saves write: "v8" (compressed store
-	// container, the default), "v8raw", or "v7" (legacy). A v8 load decodes
+	// container, the default) or "v8raw" (raw sections). A v8 load decodes
 	// compressed chunks once onto the heap; MmapSpills instead serves v8
 	// spill loads store-backed off a read-only memory mapping, decoding
 	// compressed chunks on read. See engine.Config.

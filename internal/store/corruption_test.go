@@ -138,3 +138,25 @@ func TestOpenRejectsWrongMagic(t *testing.T) {
 		t.Fatal("v7 magic accepted by the v8 reader")
 	}
 }
+
+// TestOpenRejectsImplausibleRowCount gives a compressed file a CRC-valid
+// header and directory claiming a chunk far wider than the file could
+// hold: Open must fail before sizing anything from the claim (the chunk's
+// empty fallback span alone holds width+1 offsets).
+func TestOpenRejectsImplausibleRowCount(t *testing.T) {
+	id, chunks := testChunks(t, 10, 0, []int{1}, 12)
+	path := writeTemp(t, id, chunks, WriteOptions{Compress: true})
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 1 << 24
+	binary.LittleEndian.PutUint64(blob[len(Magic)+5*8:], width) // header R
+	binary.LittleEndian.PutUint64(blob[headerSize+8:], width)   // chunk 0 width
+	if err := os.WriteFile(path, reseal(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, OpenOptions{}); err == nil {
+		t.Fatal("a chunk of 2^24 replicates in a one-page file was accepted")
+	}
+}

@@ -182,17 +182,25 @@ func (f *File) parseAndVerify(opts OpenOptions) error {
 		m.width = int(word(1))
 		m.entries = int64(word(2))
 		m.encoding = word(3)
-		if m.r0 != next || m.width <= 0 || m.r0+m.width > f.id.R0+f.id.R {
+		if m.r0 != next || m.width <= 0 || m.width > f.id.R0+f.id.R-m.r0 {
 			return fmt.Errorf("chunk %d range [%d, %d) (expected start %d within [%d, %d))",
 				c, m.r0, m.r0+m.width, next, f.id.R0, f.id.R0+f.id.R)
 		}
-		if m.entries < 0 || m.entries > int64(m.width)*int64(f.id.N)*int64(f.id.L) {
+		// Every row costs at least one byte on disk (a raw offset, a
+		// varint row length), and so does every entry, so neither count
+		// can exceed the file size; bounding both first keeps the size
+		// arithmetic below from overflowing and a crafted header from
+		// sizing a huge decode.
+		rows := int64(m.width) * int64(f.id.N)
+		if rows > int64(len(data)) {
+			return fmt.Errorf("chunk %d: %d rows exceed the %d-byte file", c, rows, len(data))
+		}
+		if m.entries < 0 || m.entries > int64(len(data)) || m.entries > rows*int64(f.id.L) {
 			return fmt.Errorf("chunk %d entry count %d exceeds its nRL bound", c, m.entries)
 		}
 		if m.encoding != encodingRaw && m.encoding != encodingVarint {
 			return fmt.Errorf("chunk %d unknown encoding %d", c, m.encoding)
 		}
-		rows := int64(m.width) * int64(f.id.N)
 		var wantSizes [3]int64
 		if m.encoding == encodingRaw {
 			wantSizes = [3]int64{(rows + 1) * 8, m.entries * 4, m.entries * 2}
@@ -209,7 +217,7 @@ func (f *File) parseAndVerify(opts OpenOptions) error {
 			if sz == 0 {
 				continue
 			}
-			if off < int64(headerSize) || off%f.pageSize != 0 || sz < 0 || off+sz > int64(len(data)) {
+			if off < int64(headerSize) || off%f.pageSize != 0 || sz < 0 || off > int64(len(data))-sz {
 				return fmt.Errorf("chunk %d section %d: range [%d, %d) outside file of %d bytes", c, s, off, off+sz, len(data))
 			}
 			if got := crc32.Checksum(data[off:off+sz], castagnoli); got != crc {
@@ -223,7 +231,7 @@ func (f *File) parseAndVerify(opts OpenOptions) error {
 		// Structural validation of the aliased arrays: the CRCs above catch
 		// corruption, these catch a writer that serialized garbage — the
 		// span bounds in particular must hold before gain loops slice with
-		// them. Mirrors the v7 reader's checks, minus its decode and copy.
+		// them. Raw arrays are validated in place, with no decode or copy.
 		if m.encoding == encodingRaw {
 			offs := bytesInt64(f.section(m, 0))
 			if offs[0] != 0 || offs[rows] != m.entries {

@@ -46,9 +46,8 @@
 // every section CRC before returning — a bit flip, truncation, or stale
 // directory anywhere in the file surfaces as an open error (the cache turns
 // that into a counted rebuild), never as a wrong answer. The CRC pass is a
-// sequential hardware-accelerated scan with no allocation or parse, so a v8
-// open stays far cheaper than a v7 full deserialize even though it touches
-// every page once.
+// sequential hardware-accelerated scan with no allocation or parse, so an
+// open stays cheap even though it touches every page once.
 package store
 
 import (
@@ -59,9 +58,9 @@ import (
 )
 
 const (
-	// Magic identifies a format-v8 store file; it deliberately differs from
-	// the v7 magic ("RWDOMIDX") so loaders can sniff the format from the
-	// first 8 bytes.
+	// Magic identifies a format-v8 store file. It differs from the magic of
+	// the retired v7 stream format, so a leftover v7 file fails Open instead
+	// of being misread.
 	Magic = "RWDOMST8"
 	// Version is the container version this package reads and writes.
 	Version = 8
@@ -90,9 +89,9 @@ const (
 // (hardware-accelerated on amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Identity is the build identity a store file carries, mirroring the v7
-// header: enough for a loader to verify the file matches the graph and build
-// parameters it is being bound to.
+// Identity is the build identity a store file carries: enough for a loader
+// to verify the file matches the graph and build parameters it is being
+// bound to.
 type Identity struct {
 	Fingerprint uint64
 	Epoch       uint64

@@ -11,7 +11,7 @@ import (
 // testChunks builds a deterministic multi-chunk CSR fixture: n nodes, chunks
 // of the given widths starting at r0, row lengths and entries drawn from a
 // seeded RNG with ids ascending (the canonical build layout).
-func testChunks(t *testing.T, n, r0 int, widths []int, seed int64) (Identity, []Chunk) {
+func testChunks(t testing.TB, n, r0 int, widths []int, seed int64) (Identity, []Chunk) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	const L = 9

@@ -185,10 +185,10 @@ func WithSpillDir(dir string) Option {
 }
 
 // WithSpillFormat selects the on-disk format spills are written in: "v8"
-// (compressed store container, the default), "v8raw" (raw page-aligned
-// sections), or "v7" (the legacy full-deserialize format). Loads sniff the
-// file magic and accept every format, so changing it never invalidates an
-// existing spill directory.
+// (compressed store container, the default) or "v8raw" (raw page-aligned
+// sections). Any other name, the retired "v7" included, makes Open fail.
+// Loads read both encodings, so changing it never invalidates an existing
+// spill directory.
 func WithSpillFormat(format string) Option {
 	return func(c *openConfig) { c.engine.SpillFormat = format }
 }

@@ -3,6 +3,7 @@ package rwdom
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,9 @@ func TestOpenErrorCodes(t *testing.T) {
 	}
 	if _, err := en.Select(ctx, SelectRequest{K: 3, L: 6, R: 100, Seed: 99, Timeout: time.Millisecond}); ErrorCodeOf(err) != ErrTimeout {
 		t.Fatalf("cold-build 1ms budget: code %v", ErrorCodeOf(err))
+	}
+	if _, err := Open(g, WithSpillFormat("v7")); err == nil || !strings.Contains(err.Error(), "v8") || !strings.Contains(err.Error(), "v8raw") {
+		t.Fatalf("spill format v7: err %v, want an error naming v8 and v8raw", err)
 	}
 }
 

@@ -377,12 +377,14 @@ func BuildIndexParallel(g *Graph, L, R int, seed uint64, workers int) (*Index, e
 	return index.BuildWorkers(g, L, R, seed, workers)
 }
 
-// LoadIndexFile reads an index previously saved with Index.SaveFile and
-// binds it to g, rejecting indexes built on a structurally different graph.
-// Persisting the index amortizes the dominant cost of the approximate
-// algorithm across runs.
+// LoadIndexFile reads an index previously saved with Index.SaveFile (a
+// compressed v8 store file; spill files load too) onto the heap and binds
+// it to g, rejecting indexes built on a structurally different graph and
+// files in any other format, the retired v7 stream included. Persisting the
+// index amortizes the dominant cost of the approximate algorithm across
+// runs.
 func LoadIndexFile(path string, g *Graph) (*Index, error) {
-	return index.LoadFile(path, g)
+	return index.LoadAny(path, g, index.StoreOptions{})
 }
 
 // Simulator runs agent-based browsing/search sessions over a graph and
