@@ -111,10 +111,13 @@
 // walk seeding makes a range build a deterministic slice of the full
 // build, so summing disjoint int64 partial sums reproduces the unsharded
 // sums bit-for-bit, and the coordinator performs the one float64 division
-// and the greedy argmax with exactly the unsharded arithmetic. Selections,
-// gains, objectives and top-B rankings are bit-identical to the unsharded
-// engine for every worker count — sharding divides per-process memory and
-// build wall time, never results.
+// with exactly the unsharded arithmetic. Selection is the engine's own
+// greedy driver (CELF, or plain) run coordinator-side over those merged
+// sums, one scatter per gain batch the driver asks for; TopGains merges
+// per-shard top-B lists with the threshold algorithm. Selections (and their
+// evaluation counts), gains, objectives and top-B rankings are
+// bit-identical to the unsharded engine for every worker count — sharding
+// divides per-process memory and build wall time, never results.
 //
 //	en, err := rwdom.Open(g, rwdom.WithShards(4))     // in-process workers
 //	en, err := rwdom.Open(g, rwdom.WithPeers(urls...)) // remote worker daemons

@@ -17,9 +17,11 @@ import (
 // therefore never normalizes: that is the coordinator's job.
 //
 // Workers are stateless between rounds — every request carries the full
-// seed set — and lean on the same memo cache as the full read path: the
-// round-by-round CELF sets form a prefix chain, so each round's table is a
-// one-copy-plus-one-Update extension of the previous round's.
+// seed set — and lean on the same memo cache as the full read path: each
+// round's table is built once and extended from the longest cached prefix
+// of its canonical (sorted) set. Successive greedy sets do not form a
+// prefix chain in that order — a pick whose id is below the set's maximum
+// breaks it — so a round's table can replay several Updates, not one.
 
 // PartialGainRequest asks for the integer gain sums of Nodes against Set,
 // evaluated over the partial index for replicates [R0, R1) of the build

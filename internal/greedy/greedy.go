@@ -97,7 +97,9 @@ func (obs PickObserver) observe(u int, gain float64) error {
 }
 
 // Run executes plain greedy: k rounds, each scanning all remaining
-// candidates (Algorithm 1 verbatim). O(kn) Gain calls.
+// candidates (Algorithm 1 verbatim). O(kn) Gain calls, issued as GainBatch
+// calls over cancelCheckStride-wide candidate ranges when the oracle is a
+// BatchOracle.
 func Run(n, k int, oracle Oracle) (*Result, error) {
 	return RunCtx(context.Background(), n, k, oracle)
 }
@@ -118,22 +120,21 @@ func RunStream(ctx context.Context, n, k int, oracle Oracle, obs PickObserver) (
 	}
 	res := &Result{Selected: make([]int, 0, k), Gains: make([]float64, 0, k)}
 	selected := make([]bool, n)
+	gains := make([]float64, n)
+	var us []int
 	for round := 0; round < k; round++ {
+		us = sweepRange(ctx, oracle, gains, us, selected, 0, n)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		best, bestGain := -1, 0.0
 		for u := 0; u < n; u++ {
-			if u%cancelCheckStride == 0 {
-				faultinject.Delay(faultinject.SiteGreedyStride)
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-			}
 			if selected[u] {
 				continue
 			}
-			g := oracle.Gain(u)
 			res.Evaluations++
-			if best == -1 || g > bestGain {
-				best, bestGain = u, g
+			if best == -1 || gains[u] > bestGain {
+				best, bestGain = u, gains[u]
 			}
 		}
 		if best == -1 {
@@ -182,10 +183,11 @@ func (h *celfHeap) Pop() interface{} {
 }
 
 // RunLazy executes CELF lazy greedy. All candidates are evaluated once in
-// round 0; afterwards, the top of a max-heap is re-evaluated only if its
-// cached gain is stale. Because gains are non-increasing (submodularity), a
-// fresh top-of-heap gain that still dominates every cached gain is
-// guaranteed optimal for the round. Typically O(n + k·small) Gain calls.
+// round 0, batched like Run's sweeps; afterwards, the top of a max-heap is
+// re-evaluated only if its cached gain is stale. Because gains are
+// non-increasing (submodularity), a fresh top-of-heap gain that still
+// dominates every cached gain is guaranteed optimal for the round.
+// Typically O(n + k·small) Gain calls.
 func RunLazy(n, k int, oracle Oracle) (*Result, error) {
 	return RunLazyCtx(context.Background(), n, k, oracle)
 }
@@ -203,18 +205,17 @@ func RunLazyStream(ctx context.Context, n, k int, oracle Oracle, obs PickObserve
 		return nil, err
 	}
 	res := &Result{Selected: make([]int, 0, k), Gains: make([]float64, 0, k)}
-	h := make(celfHeap, 0, n)
 	// The initial sweep is evaluated against the empty set, which is the
 	// state of round 1, so the entries are born fresh for the first pick.
+	gains := make([]float64, n)
+	sweepRange(ctx, oracle, gains, nil, nil, 0, n)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	res.Evaluations += n
+	h := make(celfHeap, 0, n)
 	for u := 0; u < n; u++ {
-		if u%cancelCheckStride == 0 {
-			faultinject.Delay(faultinject.SiteGreedyStride)
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-		}
-		h = append(h, celfItem{u: int32(u), round: 1, gain: oracle.Gain(u)})
-		res.Evaluations++
+		h = append(h, celfItem{u: int32(u), round: 1, gain: gains[u]})
 	}
 	heap.Init(&h)
 	for round := int32(1); int(round) <= k && h.Len() > 0; {

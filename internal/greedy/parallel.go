@@ -23,16 +23,16 @@ type BatchOracle interface {
 }
 
 // sweepRange evaluates gains[lo:hi] for candidates lo..hi-1 against the
-// oracle's current committed set, using GainBatch calls when available. It
-// returns the (possibly grown) candidate-id scratch buffer so callers can
-// reuse it across rounds. GainBatch appends into gains[c:c], whose capacity
-// covers [c, hi), so the results land in place.
+// oracle's current committed set, using GainBatch calls when available. A
+// candidate marked in skip (nil skips none) is not evaluated and its gain
+// entry is left as it was. It returns the (possibly grown) candidate-id
+// scratch buffer so callers can reuse it across rounds.
 //
 // The range is processed in cancelCheckStride chunks with a ctx check
 // between chunks; on cancellation the remaining gains are left stale, which
 // is fine because every caller abandons the round (and the result) once it
 // observes ctx canceled after the sweep.
-func sweepRange(ctx context.Context, oracle Oracle, gains []float64, us []int, lo, hi int) []int {
+func sweepRange(ctx context.Context, oracle Oracle, gains []float64, us []int, skip []bool, lo, hi int) []int {
 	bo, batch := oracle.(BatchOracle)
 	for c := lo; c < hi; c += cancelCheckStride {
 		// Latency-only fault site (worker goroutine: a panic here would kill
@@ -50,13 +50,29 @@ func sweepRange(ctx context.Context, oracle Oracle, gains []float64, us []int, l
 		if batch {
 			us = us[:0]
 			for u := c; u < ch; u++ {
-				us = append(us, u)
+				if skip == nil || !skip[u] {
+					us = append(us, u)
+				}
 			}
-			bo.GainBatch(us, gains[c:c])
+			if len(us) == 0 {
+				continue
+			}
+			// GainBatch appends into out[:0], whose capacity covers the
+			// stride, so the results land in place.
+			out := bo.GainBatch(us, gains[c:c])
+			if len(us) < ch-c {
+				// Skipped candidates left holes: scatter the packed results
+				// back to their ids, last first so none is overwritten.
+				for i := len(us) - 1; i >= 0; i-- {
+					gains[us[i]] = out[i]
+				}
+			}
 			continue
 		}
 		for u := c; u < ch; u++ {
-			gains[u] = oracle.Gain(u)
+			if skip == nil || !skip[u] {
+				gains[u] = oracle.Gain(u)
+			}
 		}
 	}
 	return us
@@ -119,7 +135,7 @@ func RunWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers int,
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				usBufs[s] = sweepRange(ctx, oracle, gains, usBufs[s], lo, hi)
+				usBufs[s] = sweepRange(ctx, oracle, gains, usBufs[s], selected, lo, hi)
 			}(s, bounds[0], bounds[1])
 		}
 		wg.Wait()
@@ -200,7 +216,7 @@ func RunLazyWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			sweepRange(ctx, oracle, gains, nil, lo, hi)
+			sweepRange(ctx, oracle, gains, nil, nil, lo, hi)
 		}(bounds[0], bounds[1])
 	}
 	wg.Wait()

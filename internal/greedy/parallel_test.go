@@ -130,6 +130,75 @@ func TestParallelDriversUseGainBatch(t *testing.T) {
 	}
 }
 
+// countingBatchOracle is a batchCoverOracle that counts how its gains were
+// asked for: GainBatch calls, the candidates they carried, and single Gain
+// calls.
+type countingBatchOracle struct {
+	batchCoverOracle
+	batches, batched, singles int
+}
+
+func (o *countingBatchOracle) Gain(u int) float64 {
+	o.singles++
+	return o.coverOracle.Gain(u)
+}
+
+func (o *countingBatchOracle) GainBatch(us []int, out []float64) []float64 {
+	o.batches++
+	o.batched += len(us)
+	return o.batchCoverOracle.GainBatch(us, out)
+}
+
+// The serial drivers sweep through GainBatch in cancelCheckStride-wide
+// ranges, so an oracle whose every call is a network round trip pays
+// ⌈n/stride⌉ calls per sweep instead of n, and the selection is the one a
+// Gain-only oracle gets.
+func TestSerialDriversBatchSweeps(t *testing.T) {
+	const n, k = 2500, 6
+	strides := (n + cancelCheckStride - 1) / cancelCheckStride
+	mk := randomCover(n, 3000, 17)
+	sameResult := func(name string, got, want *Result) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Selected, want.Selected) || !reflect.DeepEqual(got.Gains, want.Gains) ||
+			got.Evaluations != want.Evaluations {
+			t.Fatalf("%s: batched run %v/%v/%d, Gain-only run %v/%v/%d", name,
+				got.Selected, got.Gains, got.Evaluations, want.Selected, want.Gains, want.Evaluations)
+		}
+	}
+
+	want, err := Run(n, k, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &countingBatchOracle{batchCoverOracle: batchCoverOracle{*mk()}}
+	got, err := Run(n, k, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult("plain", got, want)
+	// Round r sweeps every candidate but the r already selected.
+	if o.batches != k*strides || o.singles != 0 || o.batched != k*n-k*(k-1)/2 {
+		t.Fatalf("plain: %d batches of %d candidates and %d single calls, want %d batches of %d and none",
+			o.batches, o.batched, o.singles, k*strides, k*n-k*(k-1)/2)
+	}
+
+	want, err = RunLazy(n, k, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = &countingBatchOracle{batchCoverOracle: batchCoverOracle{*mk()}}
+	got, err = RunLazy(n, k, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult("lazy", got, want)
+	// One batched initial sweep; CELF re-evaluations stay single calls.
+	if o.batches != strides || o.batched != n || o.singles != got.Evaluations-n {
+		t.Fatalf("lazy: %d batches of %d candidates and %d single calls, want %d batches of %d and %d",
+			o.batches, o.batched, o.singles, strides, n, got.Evaluations-n)
+	}
+}
+
 func TestRunLazyWorkersValidation(t *testing.T) {
 	o := &coverOracle{sets: [][]int{{0}}, covered: make([]bool, 1)}
 	if _, err := RunLazyWorkers(0, 1, o, 4); err == nil {

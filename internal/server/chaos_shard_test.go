@@ -54,9 +54,13 @@ func TestChaosFlakyWorkerShardRetriesToParity(t *testing.T) {
 	healthyTS := httptest.NewServer(healthy.Handler())
 	t.Cleanup(healthyTS.Close)
 
-	// 5 consecutive sheds: the client retries a call at most 3 times, so
-	// one conn-level call fails outright and the coordinator must re-send.
-	flakyTS, shed := flakyWorker(t, g, 5)
+	// The selects run with workers=2, so up to selectScatters partial calls
+	// are in flight on the flaky worker at once, and the client SDK gives
+	// each call 1+sdkRetries attempts. Sheds are consecutive, so one more
+	// shed than those calls can absorb between them guarantees that some
+	// call exhausts its SDK budget and the coordinator must re-send.
+	const selectScatters, sdkRetries = 2, 3
+	flakyTS, shed := flakyWorker(t, g, selectScatters*(1+sdkRetries)+1)
 
 	coord := newTestServer(t, Config{
 		Graphs: map[string]*graph.Graph{"test": g},

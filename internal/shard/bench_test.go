@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
 )
@@ -38,5 +41,34 @@ func BenchmarkShardIndexBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(bytes), "index_bytes/proc")
 		})
+	}
+}
+
+// BenchmarkShardedSelect measures a coordinated selection end to end: two
+// in-process shards, both problems per iteration, each on a fresh walk seed,
+// so every op builds both shards' partial indexes and then runs the greedy
+// driver over merged shard sums — the shape of a cold sharded select.
+func BenchmarkShardedSelect(b *testing.B) {
+	g, err := dataset.PowerLawExact(2500, 15000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"bench": g}
+	co, err := NewLocal(Config{Graphs: graphs}, 2, engine.Config{Graphs: graphs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, problem := range []engine.Problem{engine.Problem1, engine.Problem2} {
+			_, err := co.Select(ctx, engine.SelectRequest{
+				Graph: "bench", Problem: problem, K: 20, L: 6, R: 50, Seed: uint64(i + 1),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // its workers — each seeing only a narrower replicate range — cannot.
 type Config struct {
 	// Graphs maps the logical names requests use to loaded graphs. The
-	// coordinator needs them for validation and for the threshold
-	// algorithm's deepening bound; workers must serve the same graphs under
-	// the same names.
+	// coordinator needs them for validation, for the candidate count its
+	// greedy driver runs over and for the threshold algorithm's deepening
+	// bound; workers must serve the same graphs under the same names.
 	Graphs map[string]*graph.Graph
 	// DefaultTimeout bounds a request that does not set its own timeout;
 	// MaxTimeout caps what a request may ask for. Zero means unbounded.

@@ -104,6 +104,10 @@ func TestSelectMergeParity(t *testing.T) {
 						t.Fatalf("shards=%d %v/%v: objective %v, want %v",
 							shards, problem, strategy, got.Objective(), want.Objective())
 					}
+					if got.Evaluations != want.Evaluations || got.Lazy != want.Lazy {
+						t.Fatalf("shards=%d %v/%v workers=%d: evaluations %d lazy %t, want %d %t",
+							shards, problem, strategy, workers, got.Evaluations, got.Lazy, want.Evaluations, want.Lazy)
+					}
 				}
 			}
 		}

@@ -35,18 +35,7 @@ func (co *Coordinator) Gain(ctx context.Context, req engine.GainRequest) (*engin
 	if err != nil {
 		return nil, err
 	}
-	meta := newMergeMeta()
-	sums := make([]int64, len(req.Nodes))
-	for _, r := range results {
-		for i, s := range r.Sums {
-			sums[i] += s
-		}
-		meta.fold(r.IndexCached, r.Memo, r.Degraded)
-	}
-	gains := make([]float64, len(sums))
-	for i, s := range sums {
-		gains[i] = float64(s) / float64(p.R)
-	}
+	gains, meta := mergeGains(results, len(req.Nodes), p.R, make([]float64, 0, len(req.Nodes)))
 	co.noteMerge(start, meta)
 	return &engine.GainResult{
 		Gains:       gains,
@@ -54,6 +43,25 @@ func (co *Coordinator) Gain(ctx context.Context, req engine.GainRequest) (*engin
 		Memo:        meta.memo,
 		Degraded:    meta.degraded,
 	}, nil
+}
+
+// mergeGains appends, for each of the nodes the shards answered, the
+// merged gain float64(Σ_s sums_s[i]) / R to out — the one division the
+// unsharded D-table makes, so the values are bit-identical to it — and
+// folds the shards' answer metadata.
+func mergeGains(results []*engine.PartialGainResult, nodes, R int, out []float64) ([]float64, mergeMeta) {
+	meta := newMergeMeta()
+	for _, r := range results {
+		meta.fold(r.IndexCached, r.Memo, r.Degraded)
+	}
+	for i := 0; i < nodes; i++ {
+		var sum int64
+		for _, r := range results {
+			sum += r.Sums[i]
+		}
+		out = append(out, float64(sum)/float64(R))
+	}
+	return out, meta
 }
 
 // Objective answers engine.Objective by scattering an objective-only

@@ -2,25 +2,30 @@ package shard
 
 import (
 	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/greedy"
+	"repro/internal/index"
 )
 
-// Select runs one top-K selection by driving the greedy loop
-// coordinator-side: each round scatter-gathers the shards' top candidates,
-// merges them exactly with the threshold algorithm, commits the (gain
-// descending, smallest-id) argmax, and re-scatters with the grown set. The
-// committed set grows as a prefix chain, so each shard serves each round
-// from a one-Update extension of its previous round's memoized table.
+// Select runs one top-K selection with the engine's own greedy drivers —
+// CELF (greedy.RunLazyWorkersStream), or greedy.RunWorkersStream for
+// Strategy Plain — over a coordinator-side oracle whose every gain is a
+// scatter of the committed set and the candidates to all shards, merged by
+// integer addition (see selectOracle). Round 1 is served from each shard's
+// memoized empty-set sums; each later CELF re-evaluation is a small
+// PartialGain against that round's memoized table.
 //
-// Selections — Nodes, Gains, and the telescoped Objective — are
+// Selections — Nodes, Gains, the telescoped Objective — and Evaluations are
 // bit-identical to the unsharded engine for both strategies and every
 // worker count: the merged gain of every candidate is the same float64
-// value the unsharded drivers compute, and the argmax rule is the same
-// total order. Evaluations counts the per-round candidate pool each shard
-// sweeps (n minus the committed set), which equals the plain driver's
-// count; the lazy driver's CELF count is not reproduced.
+// value the unsharded D-table computes, and the drivers are the same code.
+// Workers resolve as the engine's default configuration resolves them:
+// zero or more than GOMAXPROCS means GOMAXPROCS.
 func (co *Coordinator) Select(ctx context.Context, req engine.SelectRequest) (*engine.SelectResult, error) {
 	return co.selectRun(ctx, req, nil)
 }
@@ -51,45 +56,137 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 		return nil, &engine.Error{Code: engine.CodeUnsupported,
 			Message: "accuracy (epsilon/delta) is not supported on sharded deployments"}
 	}
+	workers := req.Workers
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
+	}
+	lazy := req.Strategy != engine.Plain
 	runCtx, cancel := co.Context(ctx, req.Timeout)
 	defer cancel()
+	o := co.newSelectOracle(runCtx, p, prob)
+	defer o.cancel()
 
-	res := &engine.SelectResult{
-		Nodes: make([]int, 0, req.K),
-		Gains: make([]float64, 0, req.K),
-		L:     p.L, R: p.R,
-		Workers: req.Workers,
-		Lazy:    req.Strategy != engine.Plain,
+	var obs greedy.PickObserver
+	if emit != nil {
+		round, total := 0, 0.0
+		obs = func(u int, gain float64) error {
+			round++
+			total += gain
+			return emit(engine.Round{Round: round, Node: u, Gain: gain, Objective: total})
+		}
+	}
+	drive := greedy.RunWorkersStream
+	if lazy {
+		drive = greedy.RunLazyWorkersStream
 	}
 	start := time.Now()
-	set := make([]int, 0, req.K)
-	total := 0.0
-	for round := 1; round <= req.K; round++ {
-		roundStart := time.Now()
-		nodes, gains, meta, err := co.topMerged(runCtx, p, prob, set, 1, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		co.noteMerge(roundStart, meta)
-		if round == 1 {
-			res.IndexCached = meta.indexCached
-		}
-		if len(nodes) == 0 {
-			// Every node is selected; the greedy loop is done early.
-			break
-		}
-		u, g := nodes[0], gains[0]
-		set = append(set, u)
-		res.Nodes = append(res.Nodes, u)
-		res.Gains = append(res.Gains, g)
-		res.Evaluations += p.g.N() - len(set) + 1
-		total += g
-		if emit != nil {
-			if err := emit(engine.Round{Round: round, Node: u, Gain: g, Objective: total}); err != nil {
-				return nil, err
-			}
-		}
+	sel, err := drive(o.ctx, p.g.N(), req.K, o, workers, obs)
+	if err := o.outcome(err); err != nil {
+		return nil, err
 	}
-	res.Select = time.Since(start)
-	return res, nil
+	return &engine.SelectResult{
+		Nodes:       sel.Selected,
+		Gains:       sel.Gains,
+		Evaluations: sel.Evaluations,
+		L:           p.L,
+		R:           p.R,
+		Workers:     workers,
+		Lazy:        lazy,
+		Select:      time.Since(start),
+		IndexCached: !o.built.Load(),
+	}, nil
+}
+
+// selectOracle is the greedy.BatchOracle a coordinated selection runs on.
+// It holds the committed set; GainBatch scatters that set and the
+// candidates to every shard under the request's pinned epoch and merges
+// the answers exactly as Coordinator.Gain does (mergeGains), so gains are
+// bit-identical to the unsharded D-table's.
+//
+// The drivers call Gain/GainBatch concurrently between Updates; both only
+// read the set. A failed scatter cannot travel through the Oracle
+// interface, so the oracle records it and cancels its context — the one
+// the driver runs under — which stops the driver at its next check.
+type selectOracle struct {
+	co     *Coordinator
+	ctx    context.Context
+	cancel context.CancelFunc
+	base   engine.PartialGainRequest
+	spans  []span
+	r      int
+
+	// built records that some scatter materialized a shard index (in
+	// practice the initial sweep, the run's first scatter).
+	built atomic.Bool
+	mu    sync.Mutex
+	err   error // the first failure; every later gain answered is moot
+}
+
+func (co *Coordinator) newSelectOracle(ctx context.Context, p qparams, prob index.Problem) *selectOracle {
+	ctx, cancel := context.WithCancel(ctx)
+	return &selectOracle{
+		co: co, ctx: ctx, cancel: cancel,
+		base: engine.PartialGainRequest{
+			Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
+			Set: []int{},
+		},
+		spans: co.split(p.R),
+		r:     p.R,
+	}
+}
+
+func (o *selectOracle) Gain(u int) float64 {
+	return o.GainBatch([]int{u}, make([]float64, 0, 1))[0]
+}
+
+func (o *selectOracle) Update(u int) { o.base.Set = append(o.base.Set, u) }
+
+// GainBatch appends the merged gains of us to out: one merge per call, so
+// /stats merges and merge latency cover selections. After a failure (or
+// once the run's context is done) it appends zeros without scattering and
+// records why, so the run cannot return a result built on them.
+func (o *selectOracle) GainBatch(us []int, out []float64) []float64 {
+	if err := o.ctx.Err(); err != nil {
+		o.fail(wrapCtx(err))
+		return append(out, make([]float64, len(us))...)
+	}
+	start := time.Now()
+	req := o.base
+	req.Nodes = us
+	results, err := o.co.scatterGain(o.ctx, req, o.spans)
+	if err != nil {
+		o.fail(err)
+		return append(out, make([]float64, len(us))...)
+	}
+	out, meta := mergeGains(results, len(us), o.r, out)
+	if !meta.indexCached {
+		o.built.Store(true)
+	}
+	o.co.noteMerge(start, meta)
+	return out
+}
+
+// fail records the run's first failure and stops the driver.
+func (o *selectOracle) fail(err error) {
+	o.mu.Lock()
+	if o.err == nil {
+		o.err = err
+	}
+	o.mu.Unlock()
+	o.cancel()
+}
+
+// outcome resolves a driver's return: a recorded failure wins over the
+// context.Canceled it caused in the driver, and a bare context error from
+// the caller's deadline or cancellation gets the engine's classification.
+func (o *selectOracle) outcome(err error) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.err != nil {
+		return o.err
+	}
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return wrapCtx(err)
+	}
+	return err
 }

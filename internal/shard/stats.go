@@ -121,7 +121,8 @@ type Stats struct {
 	// Shards is the worker count.
 	Shards int
 	// Merges counts completed scatter-gather merges (one per coordinator
-	// read, one per greedy selection round); DegradedMerges the subset where
+	// read, one per gain batch a selection's greedy driver asks for);
+	// DegradedMerges the subset where
 	// at least one shard answered from frozen degraded state (the merged
 	// values are still exact).
 	Merges         int64
