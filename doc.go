@@ -160,7 +160,14 @@
 // (graph, L, R, seed, problem, canonical set). A set's table is
 // materialized at most once — extending the longest cached prefix of the
 // set via DTable.Snapshot/ExtendFrom, so only the delta is replayed — and
-// every later gain/objective/topgains request for it is a pure read.
+// every later gain/objective/topgains request for it is a pure read. A
+// topgains read does not sweep all n candidates: by submodularity each
+// candidate's empty-set gain bounds its gain against any set, so
+// candidates are evaluated in descending bound order and the read stops
+// once no remaining bound can reach the top B (core.TopGains), with the
+// same answer as the exhaustive ranking. A memoized table is keyed by the
+// index instance it reads through, so a graph mutation repairing an index
+// can never race a read of a table built over it.
 // Memoized and fresh answers are bit-for-bit identical; the server parity
 // test suite locks the two paths together across both problems, set shapes
 // (empty/singleton/large/unsorted/duplicated) and greedy selection

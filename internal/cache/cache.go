@@ -13,9 +13,9 @@
 // top of it. The index cache spills victims to disk from its OnEvict hook;
 // the memo cache pins the longest cached prefix of a set through PinBest
 // while extending it; and the serving layer links the two caches with
-// Invalidate, dropping memoized tables when the index they were built from
-// is evicted so an evicted index's heap is actually released instead of
-// being pinned by its dependents.
+// Take, dropping memoized tables when the index they were built from is
+// evicted so an evicted index's heap is actually released instead of being
+// pinned by its dependents.
 //
 // # Lifecycle invariants
 //
@@ -232,35 +232,17 @@ func runPopulate[V any](populate func() (V, int64, error)) (v V, bytes int64, er
 	return populate()
 }
 
-// Peek returns a handle on the ready resident value for key, or nil when the
-// key is absent, still populating, or failed — never blocking and never
-// populating. This is the degraded read path: when new work cannot be
-// admitted or a rebuild fails, a peeked value lets the caller answer from
-// what is already resident. A successful peek pins the entry like Acquire
-// (the caller must Release) and refreshes its LRU position, but is not
-// counted in Hits — degraded traffic should not flatter the hit rate.
-func (c *Cache[K, V]) Peek(key K) *Handle[K, V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.isReady() || e.err != nil {
-		return nil
-	}
-	c.clock++
-	e.refs++
-	e.lastUse = c.clock
-	return &Handle[K, V]{c: c, e: e}
-}
-
 // PinBest scans the ready resident entries under the lock, scoring each with
 // score, and returns a pinned handle on the highest-scoring entry with a
 // positive score — or nil if none scores positive. Ties break arbitrarily.
 // score must be fast and must not call back into the cache.
 //
 // The memo cache uses this to pin the longest cached prefix of a set before
-// extending from its snapshot, so eviction cannot free the prefix mid-copy.
+// extending from its snapshot, so eviction cannot free the prefix mid-copy,
+// and to find a resident table of any index instance for a degraded read.
 // Pinning does not count as a use on the LRU clock: extending from a table
-// is the cache's own bookkeeping, not client traffic.
+// is the cache's own bookkeeping, and degraded traffic should not keep a
+// table resident the way client hits do.
 func (c *Cache[K, V]) PinBest(score func(key K, value V) int) *Handle[K, V] {
 	c.mu.Lock()
 	defer c.mu.Unlock()

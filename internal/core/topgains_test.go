@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/index"
 )
@@ -163,5 +165,176 @@ func TestTopGainsValidation(t *testing.T) {
 	cancel()
 	if _, _, err := TopGains(ctx, d, 3, nil, 1); err != context.Canceled {
 		t.Fatalf("canceled ctx: err = %v", err)
+	}
+}
+
+// topIndexForms builds the index forms the bound-pruned top-B kernel must
+// serve bit-identically to an exhaustive sweep: flat, chunked (fresh, and
+// grown after the table was made, synced or not), patched by Repair, and
+// loaded from a v8 store onto the heap and through mmap. Each form returns
+// a D-table factory so tables can be made before an index grows.
+func topIndexForms(t *testing.T, g *graph.Graph, L, R int, seed uint64) map[string]func(index.Problem) *index.DTable {
+	t.Helper()
+	must := func(ix *index.Index, err error) *index.Index {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	table := func(ix *index.Index) func(index.Problem) *index.DTable {
+		return func(p index.Problem) *index.DTable {
+			d, err := ix.NewDTable(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+	}
+	grown := func(sync bool) func(index.Problem) *index.DTable {
+		return func(p index.Problem) *index.DTable {
+			ix := must(index.BuildChunkedWorkers(g, L, R-R/4, seed, R/4, 2))
+			d := table(ix)(p)
+			if err := ix.ExtendReplicates(R/4, 2); err != nil {
+				t.Fatal(err)
+			}
+			if sync {
+				if err := d.SyncChunks(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return d
+		}
+	}
+	patched := must(index.BuildWorkers(g, L, R, seed, 2))
+	var delta graph.Delta
+	for u := 0; u < 40; u += 4 {
+		v := g.N() - 1 - u
+		if g.HasEdge(u, v) {
+			delta.RemoveEdges = append(delta.RemoveEdges, graph.Edge{U: u, V: v})
+		} else {
+			delta.AddEdges = append(delta.AddEdges, graph.Edge{U: u, V: v})
+		}
+	}
+	ng, touched, err := g.ApplyDelta(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := patched.Repair(ng, touched); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
+	if err := must(index.BuildWorkers(g, L, R, seed, 2)).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]func(index.Problem) *index.DTable{
+		"flat":             table(must(index.BuildWorkers(g, L, R, seed, 2))),
+		"chunked":          table(must(index.BuildChunkedWorkers(g, L, R, seed, R/3, 2))),
+		"chunked-grown":    grown(true),
+		"chunked-unsynced": grown(false),
+		"patched":          table(patched),
+		"store-heap":       table(must(index.LoadAny(path, g, index.StoreOptions{}))),
+		"store-mmap":       table(must(index.LoadAny(path, g, index.StoreOptions{Mmap: true}))),
+	}
+}
+
+// The bound-pruned TopGains and TopGainSums must return exactly what an
+// exhaustive GainBatch / GainSumBatch sweep ranked by TopOfGains /
+// TopOfSums returns — same nodes, same float64 bits, same sums — for both
+// problems, every index form, set sizes from empty to 50, budgets from 1 to
+// n, one and two workers, and exclude masks holding non-members.
+func TestTopGainsPrunedMatchesExhaustiveSweep(t *testing.T) {
+	g, err := dataset.PowerLawExact(1500, 9000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rnd := rand.New(rand.NewSource(5))
+	for name, newTable := range topIndexForms(t, g, 6, 24, 11) {
+		for _, p := range []index.Problem{index.Problem1, index.Problem2} {
+			for _, size := range []int{0, 1, 5, 20, 50} {
+				d := newTable(p)
+				n := d.Index().Graph().N()
+				// Half the set is the leaders by empty-set gain, which moves
+				// the exact ranking furthest from the bound order.
+				leaders, _, err := TopGainSums(ctx, d, size/2, nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exclude := make([]bool, n)
+				for _, u := range append(leaders, rnd.Perm(n)[:size-size/2]...) {
+					d.Update(u)
+					exclude[u] = true
+				}
+				for u := rnd.Intn(7); u < n; u += 7 {
+					exclude[u] = true // non-members
+				}
+				all := make([]int, n)
+				for u := range all {
+					all[u] = u
+				}
+				gains := d.GainBatch(all, nil)
+				sums := d.GainSumBatch(all, nil)
+				for _, b := range []int{1, 10, 100, n} {
+					wantN, wantG := TopOfGains(gains, exclude, b)
+					wantSN, wantS := TopOfSums(sums, exclude, b)
+					for _, workers := range []int{1, 2} {
+						gotN, gotG, err := TopGains(ctx, d, b, exclude, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotSN, gotS, err := TopGainSums(ctx, d, b, exclude, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(gotN) != len(wantN) || len(gotSN) != len(wantSN) {
+							t.Fatalf("%s %v |S|=%d b=%d w=%d: %d/%d results, want %d/%d", name, p, size, b, workers, len(gotN), len(gotSN), len(wantN), len(wantSN))
+						}
+						for i := range wantN {
+							if gotN[i] != wantN[i] || math.Float64bits(gotG[i]) != math.Float64bits(wantG[i]) {
+								t.Fatalf("%s %v |S|=%d b=%d w=%d: TopGains[%d] = %d/%v, want %d/%v", name, p, size, b, workers, i, gotN[i], gotG[i], wantN[i], wantG[i])
+							}
+							if gotSN[i] != wantSN[i] || gotS[i] != wantS[i] {
+								t.Fatalf("%s %v |S|=%d b=%d w=%d: TopGainSums[%d] = %d/%d, want %d/%d", name, p, size, b, workers, i, gotSN[i], gotS[i], wantSN[i], wantS[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// On a power-law graph the empty-set bound separates the leaders from the
+// bulk, so a top-10 read against a small set evaluates a small fraction of
+// the candidates exactly.
+func TestTopGainsPrunesOnPowerLaw(t *testing.T) {
+	g, err := dataset.PowerLawExact(5000, 30000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.BuildWorkers(g, 6, 50, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	for _, p := range []index.Problem{index.Problem1, index.Problem2} {
+		d, err := ix.NewDTable(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exclude := make([]bool, n)
+		for _, u := range rand.New(rand.NewSource(2)).Perm(n)[:5] {
+			d.Update(u)
+			exclude[u] = true
+		}
+		_, _, evals, err := topSums(context.Background(), d, 10, exclude, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evals > n/20 {
+			t.Fatalf("%v: %d exact evaluations for b=10, want <= %d (n/20)", p, evals, n/20)
+		}
+		t.Logf("%v: %d of %d candidates evaluated", p, evals, n)
 	}
 }

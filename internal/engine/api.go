@@ -198,7 +198,7 @@ type TopGainsRequest struct {
 	Set     []int
 	// B is the number of winners (default 10, capped at the engine MaxK).
 	B int
-	// Workers shards the candidate sweep (0 = engine default).
+	// Workers shards the candidate evaluations (0 = engine default).
 	Workers int
 }
 

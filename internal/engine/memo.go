@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the memoized gain read path: a refcounted LRU cache
-// of D-tables keyed by (index identity, problem, canonical seed set). The
+// of D-tables keyed by (index key and instance, problem, canonical set). The
 // paper's whole point is that the walk index makes marginal-gain evaluation
 // cheap — the index is built once and every gain is a read — yet the naive
 // serving path re-materialized an n·R table and replayed the whole set on
@@ -23,7 +23,9 @@ import (
 //
 // Frozen means exactly that: once an entry is published (its ready channel
 // closed), its table is never mutated again. Gain/GainBatch/TopGains are
-// pure reads, so any number of requests can share the table concurrently;
+// pure reads, so any number of requests can share the table concurrently,
+// and a TopGains miss evaluates only the candidates whose empty-set bound
+// can still reach the top B (internal/core), not all n;
 // the objective — whose D-table scan memoizes saturation state and is
 // therefore NOT a pure read — is computed once during population and stored
 // as a plain float64. Entries are only evicted when unreferenced, so a
@@ -91,9 +93,14 @@ func isPrefix(p, set []int) bool {
 	return true
 }
 
-// memoKey identifies one cached D-table.
+// memoKey identifies one cached D-table. A table reads through the index
+// instance it was built over, so the instance is part of the key: a read
+// that pinned instance B (say, a rebuild of the same cache key) never
+// reaches a table over an instance A that the index cache no longer holds
+// and may have handed to Repair.
 type memoKey struct {
 	idx     index.CacheKey
+	ix      *index.Index // set by acquire
 	problem index.Problem
 	set     string // canonical set key (setKeyOf)
 }
@@ -172,13 +179,13 @@ func (h *memoHandle) Table() *index.DTable { return h.h.Value().d }
 func (h *memoHandle) Objective() float64 { return h.h.Value().objective }
 
 // CachedTop returns the memoized top-B winners for this table, if a prior
-// request already paid the candidate sweep for budget b.
+// request already paid the top-B read for budget b.
 func (h *memoHandle) CachedTop(b int) ([]int, []float64, bool) {
 	return h.h.Value().top.get(b)
 }
 
 // StoreTop memoizes the top-B winners so repeated same-set topgains
-// requests become O(B) reads instead of O(n) sweeps.
+// requests become O(B) reads instead of bound-pruned gain evaluations.
 func (h *memoHandle) StoreTop(b int, nodes []int, gains []float64) {
 	h.h.Value().top.put(b, nodes, gains)
 }
@@ -206,7 +213,7 @@ type MemoStats struct {
 	// memoized empty-set gain vector / objective, with no D-table involved.
 	EmptyHits int64
 	// TopHits counts TopGains requests served from a table's per-entry
-	// top-B result memo (an O(B) read instead of an O(n) candidate sweep).
+	// top-B result memo (an O(B) read instead of a bound-pruned top-B read).
 	TopHits int64
 	// Evictions counts entries dropped by the entry/bytes budgets;
 	// Invalidated counts tables dropped because the index they were built
@@ -256,11 +263,13 @@ const (
 	MemoOff      = "off"      // memoization disabled, fresh-table path
 )
 
-// acquire returns a pinned handle on the table for (key, set), populating
-// it at most once across concurrent callers. ix is the resident index to
-// materialize from on a miss; set must be canonical and non-empty. The
-// returned status is MemoHit, MemoMiss or MemoExtended.
+// acquire returns a pinned handle on the table for (key, set) over the index
+// instance ix, populating it at most once across concurrent callers. ix is
+// the index the caller pinned; acquire sets key.ix to it. set must be
+// canonical and non-empty. The returned status is MemoHit, MemoMiss or
+// MemoExtended.
 func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandle, string, error) {
+	key.ix = ix
 	populated, extended := false, false
 	h, err := c.core.Acquire(key, func() (memoValue, int64, error) {
 		populated = true
@@ -273,7 +282,7 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 		// every prefix key would cost O(|set|²) string building per miss,
 		// which an attacker-sized set turns into a DoS.
 		prefix := c.core.PinBest(func(k memoKey, v memoValue) int {
-			if k.idx != key.idx || k.problem != key.problem {
+			if k.idx != key.idx || k.ix != key.ix || k.problem != key.problem {
 				return 0
 			}
 			if !isPrefix(v.set, set) {
@@ -310,24 +319,14 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 	return &memoHandle{h: h}, status, nil
 }
 
-// populateTable materializes the frozen table for set: from the longest
-// cached prefix when one is pinned (one array copy plus a replay of only
-// the delta of set past prefixLen), otherwise by full replay. The objective
-// is computed here, before publication, because EstimateObjective memoizes
-// saturation state in the table and therefore must not run on a shared
-// frozen table.
+// populateTable materializes the frozen table for set over ix: from the
+// longest cached prefix when one is pinned (one array copy plus a replay of
+// only the delta of set past prefixLen), otherwise by full replay. The
+// objective is computed here, before publication, because
+// EstimateObjective memoizes saturation state in the table and therefore
+// must not run on a shared frozen table.
 func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DTable, prefixLen int) (*index.DTable, float64, error) {
-	base := ix
-	if prefix != nil {
-		// Extend against the prefix table's own index instance: it is the
-		// same (graph, L, R, seed) identity — walks are seeded per (node,
-		// replicate), so any instance holds identical entries — but
-		// ExtendFrom correctly refuses to mix table state across *Index
-		// pointers, and the index cache may have rebuilt the key since the
-		// prefix was cached.
-		base = prefix.Index()
-	}
-	d, err := base.NewDTable(p)
+	d, err := ix.NewDTable(p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -340,19 +339,30 @@ func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DT
 			d.Update(u)
 		}
 	}
-	members := make([]bool, base.Graph().N())
+	members := make([]bool, ix.Graph().N())
 	for _, u := range set {
 		members[u] = true
 	}
 	return d, d.EstimateObjective(members), nil
 }
 
-// peek returns a pinned handle on the resident frozen table for key, or nil
-// — never populating and never blocking. This is the degraded read path:
-// when the index cannot be acquired (build shed, failed, or out-deadlined),
-// an already-memoized table can still answer its exact set.
-func (c *memoCache) peek(key memoKey) *memoHandle {
-	h := c.core.Peek(key)
+// peek returns a pinned handle on a resident frozen table for (idx,
+// problem, set) over any index instance, or nil — never populating and
+// never blocking. This is the degraded read path: when the index cannot be
+// acquired (build shed, failed, or out-deadlined), an already-memoized
+// table can still answer its exact set. Every instance of one cache key
+// holds identical entries (walks are seeded per node and replicate), so any
+// match answers identically; ApplyDelta drops a key's tables before it
+// repairs the key's index, and drops rather than repairs an index whose
+// tables are still pinned, so a peeked table's index is never mutated
+// under it.
+func (c *memoCache) peek(idx index.CacheKey, problem index.Problem, set string) *memoHandle {
+	h := c.core.PinBest(func(k memoKey, _ memoValue) int {
+		if k.idx == idx && k.problem == problem && k.set == set {
+			return 1
+		}
+		return 0
+	})
 	if h == nil {
 		return nil
 	}
@@ -362,20 +372,30 @@ func (c *memoCache) peek(key memoKey) *memoHandle {
 // dropIndexes removes every memoized table built under one of the given
 // index keys — the index cache's eviction hook, which is what lets an index
 // eviction actually release the index heap instead of leaving it pinned by
-// dependent tables. Tables still pinned by an in-flight request are
-// orphaned (no new request can reach them; their memory goes with the last
-// release); tables mid-population are untouched, which is safe because a
+// dependent tables — and returns how many it dropped plus the index
+// instances that dropped tables still pinned by a request read through.
+// Those tables are orphaned (no new request can reach them; their memory
+// goes with the last release), and their indexes must not be mutated
+// until then. Tables mid-population are untouched, which is safe because a
 // populating request holds a handle on its index, so that index cannot be
-// the one being evicted. Returns the number of tables dropped.
-func (c *memoCache) dropIndexes(keys []index.CacheKey) int {
+// the one being evicted or taken.
+func (c *memoCache) dropIndexes(keys []index.CacheKey) (int, map[*index.Index]bool) {
 	if len(keys) == 0 {
-		return 0
+		return 0, nil
 	}
 	evicted := make(map[index.CacheKey]bool, len(keys))
 	for _, k := range keys {
 		evicted[k] = true
 	}
-	return c.core.Invalidate(func(k memoKey) bool { return evicted[k.idx] })
+	taken, orphaned := c.core.Take(func(k memoKey) bool { return evicted[k.idx] })
+	var pinned map[*index.Index]bool
+	for _, k := range orphaned {
+		if pinned == nil {
+			pinned = make(map[*index.Index]bool)
+		}
+		pinned[k.ix] = true
+	}
+	return len(taken) + len(orphaned), pinned
 }
 
 // noteEmptyHit records an empty-set request served off the index.

@@ -27,11 +27,12 @@ import (
 //     post-mutation key. Cache.TakeGraph transfers exclusive ownership of
 //     the unpinned indexes (pinned ones are orphaned: their in-flight
 //     readers finish on a consistent pre-mutation answer and the last
-//     release frees them); each current-epoch index is repaired in place
+//     release frees them). Every displaced key's memoized D-tables are
+//     then invalidated through the same linkage an index eviction uses —
+//     before any repair, because a table reads through its index. Each
+//     current-epoch index no surviving table pins is repaired in place
 //     (internal/index.Repair regenerates only the walk rows the delta
-//     touched) and re-adopted, anything unrepairable is dropped, and every
-//     displaced key's memoized D-tables are invalidated through the same
-//     linkage an index eviction uses.
+//     touched) and re-adopted; anything else is dropped.
 
 // ApplyDeltaRequest asks for a graph mutation. Graph may be empty when the
 // engine serves exactly one graph.
@@ -60,8 +61,9 @@ type ApplyDeltaResult struct {
 	Touched int
 	// IndexesRepaired counts resident walk indexes carried across the
 	// mutation by incremental repair; IndexesDropped the resident indexes
-	// that could not be (pinned by in-flight reads, built from raw walks,
-	// or at an older epoch) and will rebuild on next use.
+	// that could not be (pinned by in-flight reads, read through by a memo
+	// table a degraded read still pins, built from raw walks, or at an
+	// older epoch) and will rebuild on next use.
 	IndexesRepaired int
 	IndexesDropped  int
 	// MemosDropped counts memoized D-tables invalidated because their
@@ -127,10 +129,20 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 	taken, orphaned := e.cache.TakeGraph(name)
 	staleKeys := make([]index.CacheKey, 0, len(taken)+len(orphaned))
 	staleKeys = append(staleKeys, orphaned...)
-	res.IndexesDropped = len(orphaned)
 	for _, t := range taken {
 		staleKeys = append(staleKeys, t.Key)
-		if t.Key.Epoch == g.Epoch() && t.Index.Repair(ng, touched) == nil {
+	}
+	// Drop the stale memo tables before any repair: afterwards no request
+	// can reach a table over a taken index, and a taken index that a
+	// still-pinned table (a degraded read) reads through is dropped, not
+	// repaired under that reader.
+	var pinned map[*index.Index]bool
+	if e.memo != nil {
+		res.MemosDropped, pinned = e.memo.dropIndexes(staleKeys)
+	}
+	res.IndexesDropped = len(orphaned)
+	for _, t := range taken {
+		if t.Key.Epoch == g.Epoch() && !pinned[t.Index] && t.Index.Repair(ng, touched) == nil {
 			newKey := t.Key
 			newKey.Epoch = ng.Epoch()
 			if e.cache.Adopt(newKey, t.Index) == nil {
@@ -139,9 +151,6 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 			}
 		}
 		res.IndexesDropped++
-	}
-	if e.memo != nil {
-		res.MemosDropped = e.memo.dropIndexes(staleKeys)
 	}
 
 	e.graphs[name] = ng

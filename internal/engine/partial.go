@@ -204,7 +204,7 @@ func (e *Engine) PartialTopGains(ctx context.Context, req PartialTopGainsRequest
 	}
 	// The partial budget is capped at n, not MaxK: a coordinator's threshold
 	// algorithm legitimately deepens past the public top-B cap on its way to
-	// an exact merged ranking, and the sweep is O(n) regardless of b.
+	// an exact merged ranking.
 	if b < 1 || b > p.g.N() {
 		return nil, badRequestf("b=%d outside [1, %d]", req.B, p.g.N())
 	}
@@ -220,9 +220,9 @@ func (e *Engine) PartialTopGains(ctx context.Context, req PartialTopGainsRequest
 	h, built, _, err := e.acquireIndexCtx(runCtx, p, workers)
 	if err != nil {
 		if mh, ok := e.degradedTable(p, prob, canon, setKey); ok {
-			// The degraded sweep runs under its own context, like
+			// The degraded read runs under its own context, like
 			// degradedTopGains: the request context is typically already dead
-			// here, and the sweep is a bounded read of resident state.
+			// here, and the read touches only resident state.
 			nodes, sums, derr := core.TopGainSums(context.Background(), mh.Table(), b, membersOf(canon, p.g.N()), workers)
 			mh.Release()
 			if derr == nil {

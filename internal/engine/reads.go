@@ -9,7 +9,7 @@ import (
 
 // This file is the memoized gain read path's request/response surface: the
 // point queries that make the materialized walk index worth serving —
-// marginal gains, objective estimates and top-B sweeps against arbitrary
+// marginal gains, objective estimates and top-B reads against arbitrary
 // seed sets, each a pure read of a frozen cached D-table after the first
 // request for its set.
 
@@ -37,8 +37,9 @@ func (e *Engine) memoizedTable(p params, prob index.Problem, canon []int, setKey
 
 // degradedTable is the graceful-degradation fallback after an index
 // acquisition failure: if the exact (index identity, problem, canonical set)
-// table is already memoized and resident, the request can still be answered
-// — exactly — from that frozen table, without the index. Returns a pinned
+// table is already memoized and resident over any instance of the index,
+// the request can still be answered — exactly — from that frozen table,
+// without pinning the index. Returns a pinned
 // handle (caller releases) and ticks the engine's degraded counter on
 // success. Empty sets are excluded: their answers come off the index itself,
 // and an index resident enough to serve them would not have failed to
@@ -47,7 +48,7 @@ func (e *Engine) degradedTable(p params, prob index.Problem, canon []int, setKey
 	if e.memo == nil || len(canon) == 0 {
 		return nil, false
 	}
-	mh := e.memo.peek(memoKey{idx: p.cacheKey(), problem: prob, set: setKey})
+	mh := e.memo.peek(p.cacheKey(), prob, setKey)
 	if mh == nil {
 		return nil, false
 	}
@@ -241,7 +242,7 @@ func (e *Engine) TopGains(ctx context.Context, req TopGainsRequest) (*TopGainsRe
 		}
 		// Per-entry top-B result memo: the table is frozen, so the winners
 		// for a budget are computed once and every repeat is an O(B) read
-		// instead of an O(n) candidate sweep.
+		// instead of a bound-pruned top-B read.
 		if cn, cg, ok := mh.CachedTop(b); ok {
 			nodes, gains = cn, cg
 			e.memo.noteTopHit()
@@ -281,10 +282,11 @@ func (e *Engine) TopGains(ctx context.Context, req TopGainsRequest) (*TopGainsRe
 }
 
 // degradedTopGains answers a topgains request purely from a pinned frozen
-// table: the per-entry top-B memo when a prior request paid the sweep, else
-// a fresh candidate sweep over the table. The sweep runs under its own
+// table: the per-entry top-B memo when a prior request paid the read, else
+// a fresh bound-pruned top-B read of the table. The read runs under its own
 // context — the request context is typically already dead on this path, and
-// the sweep is a bounded O(n) read of resident state, not new heavy work.
+// the read touches only resident state (the table and the memoized
+// empty-set sums of its index), at most O(n) gain evaluations.
 func degradedTopGains(mh *memoHandle, b int, canon []int, n, workers int) ([]int, []float64, error) {
 	if nodes, gains, ok := mh.CachedTop(b); ok {
 		return nodes, gains, nil

@@ -164,12 +164,13 @@ type Index struct {
 	sb        *store.Spans
 	sbEntries int64
 
-	// emptyGains memoizes the per-problem empty-set gain vectors (slot 0:
-	// Problem 1, slot 1: Problem 2), computed lazily by EmptySetGains under
-	// emptyMu, which makes the index safe to share across concurrent callers.
-	// emptySums is the integer-domain twin serving the partial read path
-	// (EmptySetGainSums). Repair drops both (the entries they summarize
-	// changed); a plain mutex rather than sync.Once keeps the memo resettable.
+	// emptySums memoizes the per-problem empty-set gain sums (slot 0:
+	// Problem 1, slot 1: Problem 2), computed lazily by EmptySetGainSums
+	// under emptyMu, which makes the index safe to share across concurrent
+	// callers; emptyGains is the float64 view EmptySetGains derives from
+	// them. Repair and ExtendReplicates drop both (the entries they
+	// summarize changed); a plain mutex rather than sync.Once keeps the memo
+	// resettable.
 	emptyMu    sync.Mutex
 	emptyGains [2][]float64
 	emptySums  [2][]int64

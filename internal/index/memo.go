@@ -22,10 +22,11 @@ func emptySlot(p Problem) (int, error) {
 	}
 }
 
-// emptySumInt computes the empty-set integer gain sum of node u — the shared
-// kernel of EmptySetGains and EmptySetGainSums. In the compact layout a
-// node's R replicate rows are contiguous (candidate-major) and the whole sum
-// reads one span; a patched index walks the R row spans individually.
+// emptySumInt computes the empty-set integer gain sum of node u, the kernel
+// behind EmptySetGainSums (and through it EmptySetGains). In the compact
+// layout a node's R replicate rows are contiguous (candidate-major) and the
+// whole sum reads one span; a patched index walks the R row spans
+// individually.
 func (ix *Index) emptySumInt(p Problem, u int) int64 {
 	if ix.parts != nil {
 		// Per-chunk accumulators start from the chunk's own width (R_c·L or
@@ -82,10 +83,11 @@ func (ix *Index) emptySumInt(p Problem, u int) int64 {
 
 // EmptySetGains returns the marginal gain of every node against the empty
 // set — Gain(u) of a fresh D-table — computed directly from the index
-// entries without materializing any n·R table. The vector is computed once
-// per problem and memoized on the index until the next Repair drops it, so
-// steady-state calls are free; it is safe for concurrent callers. The
-// returned slice is shared and must not be modified.
+// entries without materializing any n·R table. The vector is derived once
+// per problem from the memoized EmptySetGainSums and memoized on the index
+// until the next Repair drops it, so steady-state calls are free; it is
+// safe for concurrent callers. The returned slice is shared and must not be
+// modified.
 //
 // Values are bit-for-bit identical to NewDTable(p).Gain(u): both accumulate
 // the same integer sum over u's replicate span and divide by R last.
@@ -97,11 +99,11 @@ func (ix *Index) EmptySetGains(p Problem) ([]float64, error) {
 	ix.emptyMu.Lock()
 	defer ix.emptyMu.Unlock()
 	if ix.emptyGains[slot] == nil {
-		n := ix.g.N()
-		gains := make([]float64, n)
+		sums := ix.emptySumsLocked(p, slot)
+		gains := make([]float64, len(sums))
 		fr := float64(ix.r)
-		for u := 0; u < n; u++ {
-			gains[u] = float64(ix.emptySumInt(p, u)) / fr
+		for u, s := range sums {
+			gains[u] = float64(s) / fr
 		}
 		ix.emptyGains[slot] = gains
 	}
@@ -109,12 +111,13 @@ func (ix *Index) EmptySetGains(p Problem) ([]float64, error) {
 }
 
 // EmptySetGainSums is EmptySetGains in the integer domain: the gain sum of
-// every node against the empty set, before the division by R. Like
-// EmptySetGains the vector is computed once per problem and memoized on the
-// index until the next Repair; the returned slice is shared and must not be
-// modified. It is the empty-set fast path of the partial (replicate-sharded)
-// read surface, where answers stay integral so the coordinator can merge
-// shard ranges exactly.
+// every node against the empty set, before the division by R. The vector is
+// computed once per problem and memoized on the index until the next
+// Repair; the returned slice is shared and must not be modified. By
+// submodularity each entry bounds the node's gain sum against every set,
+// which is what lets core.TopGains stop early. It is also the empty-set
+// fast path of the partial (replicate-sharded) read surface, where answers
+// stay integral so the coordinator can merge shard ranges exactly.
 func (ix *Index) EmptySetGainSums(p Problem) ([]int64, error) {
 	slot, err := emptySlot(p)
 	if err != nil {
@@ -122,15 +125,20 @@ func (ix *Index) EmptySetGainSums(p Problem) ([]int64, error) {
 	}
 	ix.emptyMu.Lock()
 	defer ix.emptyMu.Unlock()
+	return ix.emptySumsLocked(p, slot), nil
+}
+
+// emptySumsLocked returns the memoized empty-set sums of p, computing them
+// on first use; ix.emptyMu must be held.
+func (ix *Index) emptySumsLocked(p Problem, slot int) []int64 {
 	if ix.emptySums[slot] == nil {
-		n := ix.g.N()
-		sums := make([]int64, n)
-		for u := 0; u < n; u++ {
+		sums := make([]int64, ix.g.N())
+		for u := range sums {
 			sums[u] = ix.emptySumInt(p, u)
 		}
 		ix.emptySums[slot] = sums
 	}
-	return ix.emptySums[slot], nil
+	return ix.emptySums[slot]
 }
 
 // resetEmptyMemos drops the memoized empty-set vectors; Repair calls it
