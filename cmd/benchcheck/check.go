@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -102,7 +103,7 @@ func normalizeName(name string) string {
 	return procsSuffix.ReplaceAllString(name, "")
 }
 
-// Comparison is one baseline-vs-current pairing.
+// Comparison is one baseline-vs-current pairing of median ns/op.
 type Comparison struct {
 	Name       string // normalized
 	BaselineNs float64
@@ -154,39 +155,35 @@ func (m RenameMap) apply(name string) string {
 
 // Compare pairs current results with the baseline by normalized name
 // (after applying renames), restricted to names matching pattern, and flags
-// every current measurement more than tolerance (a fraction, e.g. 0.25 for
-// +25% ns/op) slower than its baseline. Current results without a baseline
-// entry are skipped and returned in `skipped` (the benchmark may be new, or
-// the CI core count may enumerate worker counts the baseline box didn't
-// have). It is an error if nothing at all can be compared — that usually
-// means a pattern typo.
+// every current benchmark more than tolerance (a fraction, e.g. 0.25 for
+// +25% ns/op) slower than its baseline. Repeated samples of one name (a
+// `-count N` run) are reduced to their median ns/op on each side first, so
+// more samples narrow the comparison instead of adding chances for one
+// noisy sample to fail it. Current benchmarks without a baseline entry are
+// skipped and returned in `skipped` (the benchmark may be new, or the CI
+// core count may enumerate worker counts the baseline box didn't have). It
+// is an error if nothing at all can be compared — that usually means a
+// pattern typo.
 func Compare(baseline, current []Result, pattern *regexp.Regexp, tolerance float64, renames RenameMap) (comparisons []Comparison, skipped []string, err error) {
 	if tolerance < 0 {
 		return nil, nil, fmt.Errorf("benchcheck: negative tolerance %v", tolerance)
 	}
-	base := make(map[string]Result, len(baseline))
-	for _, b := range baseline {
-		base[normalizeName(b.Name)] = b
-	}
-	for _, c := range current {
-		name := normalizeName(c.Name)
+	_, base := medians(baseline)
+	names, cur := medians(current)
+	for _, name := range names {
 		if !pattern.MatchString(name) {
 			continue
 		}
 		b, ok := base[renames.apply(name)]
-		if !ok {
+		if !ok || b <= 0 {
 			skipped = append(skipped, name)
 			continue
 		}
-		if b.NsPerOp <= 0 {
-			skipped = append(skipped, name)
-			continue
-		}
-		ratio := c.NsPerOp / b.NsPerOp
+		ratio := cur[name] / b
 		comparisons = append(comparisons, Comparison{
 			Name:       name,
-			BaselineNs: b.NsPerOp,
-			CurrentNs:  c.NsPerOp,
+			BaselineNs: b,
+			CurrentNs:  cur[name],
 			Ratio:      ratio,
 			Regression: ratio > 1+tolerance,
 		})
@@ -195,6 +192,31 @@ func Compare(baseline, current []Result, pattern *regexp.Regexp, tolerance float
 		return nil, skipped, fmt.Errorf("benchcheck: no current benchmark matching %q has a baseline entry (skipped: %v)", pattern, skipped)
 	}
 	return comparisons, skipped, nil
+}
+
+// medians groups results by normalized name and returns the names in
+// first-seen order with the median ns/op of each name's samples (the mean
+// of the middle two for an even count).
+func medians(results []Result) (names []string, median map[string]float64) {
+	samples := make(map[string][]float64)
+	for _, r := range results {
+		name := normalizeName(r.Name)
+		if _, seen := samples[name]; !seen {
+			names = append(names, name)
+		}
+		samples[name] = append(samples[name], r.NsPerOp)
+	}
+	median = make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		sort.Float64s(xs)
+		m := len(xs) / 2
+		if len(xs)%2 == 1 {
+			median[name] = xs[m]
+		} else {
+			median[name] = (xs[m-1] + xs[m]) / 2
+		}
+	}
+	return names, median
 }
 
 // Regressions filters the flagged comparisons.

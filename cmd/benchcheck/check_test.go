@@ -254,3 +254,36 @@ func TestCompareRenameMap(t *testing.T) {
 		t.Fatal("empty old name accepted")
 	}
 }
+
+// Repeated samples of a name (a -count N run) are reduced to their median
+// on both sides: one slow outlier among five neither fails the gate nor
+// hides a slowdown every sample shows, and the baseline's last sample does
+// not stand in for all of them.
+func TestCompareTakesMedians(t *testing.T) {
+	samples := func(name string, ns ...float64) []Result {
+		var out []Result
+		for _, v := range ns {
+			out = append(out, Result{Name: name, Iterations: 200, NsPerOp: v})
+		}
+		return out
+	}
+	base := append(samples("BenchmarkLazyGreedy-2", 100, 104, 98, 102, 60),
+		samples("BenchmarkPlainGreedy-2", 200, 210)...)
+	cur := append(samples("BenchmarkLazyGreedy-8", 101, 99, 180, 103, 100),
+		samples("BenchmarkPlainGreedy-8", 250, 270)...)
+	comparisons, skipped, err := Compare(base, cur, regexp.MustCompile("Greedy"), 0.25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comparisons) != 2 || len(skipped) != 0 {
+		t.Fatalf("comparisons %+v skipped %v, want one per name", comparisons, skipped)
+	}
+	lazy, plain := comparisons[0], comparisons[1]
+	if lazy.Name != "BenchmarkLazyGreedy" || lazy.BaselineNs != 100 || lazy.CurrentNs != 101 || lazy.Regression {
+		t.Fatalf("lazy comparison %+v, want medians 100 vs 101 and no regression", lazy)
+	}
+	// Even counts take the mean of the middle two: 205 vs 260, +27%.
+	if plain.Name != "BenchmarkPlainGreedy" || plain.BaselineNs != 205 || plain.CurrentNs != 260 || !plain.Regression {
+		t.Fatalf("plain comparison %+v, want medians 205 vs 260 flagged", plain)
+	}
+}

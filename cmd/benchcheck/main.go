@@ -10,7 +10,8 @@
 //
 // Names are compared with the trailing GOMAXPROCS suffix stripped, so a
 // baseline recorded on a 2-core developer box gates runs on CI machines with
-// any core count. Current benchmarks without a baseline entry are reported
+// any core count. A benchmark run with -count N contributes N samples per
+// name; each side is reduced to its median before the ratio is taken. Current benchmarks without a baseline entry are reported
 // and skipped, not failed — new benchmarks should not break the gate.
 //
 // Usage:

@@ -65,11 +65,10 @@
 //
 // For one-shot selection — and for the DP, sampling and baseline
 // algorithms, which have no serving equivalent — Solve(g, problem, opts)
-// is the non-deprecated free function. The original per-problem functions
-// (MinimizeHittingTime, MaximizeCoverage, SelectWithIndex, ...) remain as
-// deprecated one-line shims over Solve and the Engine: they compile,
-// return bit-identical selections, and point migrators at the
-// replacements.
+// is the free function. The original per-problem functions
+// (MinimizeHittingTime, MaximizeCoverage, SelectWithIndex,
+// SelectWithIndexWorkers) have been removed; the README's migration table
+// maps each onto Solve or the Engine, which select bit-identically.
 //
 // # Mutable graphs
 //
@@ -183,8 +182,8 @@
 // instead of leaving it pinned by dependents — daemon memory tracks the
 // working set, not traffic history. Request timeouts and graceful SIGTERM
 // drain propagate as
-// context cancellation through the greedy drivers (greedy.RunWorkersCtx /
-// core.ApproxWithIndexCtx), so a dying request stops consuming cores within
+// context cancellation through the one greedy driver (greedy.Run, reached
+// through core.ApproxWithIndex), so a dying request stops consuming cores within
 // one evaluation stride. The serving experiments (internal/experiments,
 // "serving" and "gainserving") measure end-to-end HTTP throughput over the
 // warm caches, memoized versus fresh.

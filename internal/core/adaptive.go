@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -54,7 +55,7 @@ func ApproxAdaptive(g *graph.Graph, opts Options, p index.Problem, stability flo
 		if err != nil {
 			return nil, err
 		}
-		sel, err := ApproxWithIndexWorkers(ix, p, opts.K, opts.Lazy, workers)
+		sel, err := ApproxWithIndex(context.Background(), ix, p, opts.K, greedy.Config{Lazy: opts.Lazy, Workers: workers})
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/index"
 )
 
@@ -54,11 +55,11 @@ func (a Accuracy) validate() error {
 	return nil
 }
 
-// BudgetPick is one committed adaptive round: the Pick plus the round's
+// BudgetPick is one committed adaptive round: the greedy.Pick plus the round's
 // separation-interval half-width and the replicates materialized when the
 // leader was committed.
 type BudgetPick struct {
-	Pick
+	greedy.Pick
 	CIWidth    float64
 	Replicates int
 }
@@ -176,7 +177,7 @@ func ApproxAdaptiveStream(ctx context.Context, g *graph.Graph, p index.Problem, 
 				}
 				if onPick != nil {
 					if err := onPick(BudgetPick{
-						Pick:       Pick{Round: round + 1, Node: u, Gain: gain, Total: total},
+						Pick:       greedy.Pick{Round: round + 1, Node: u, Gain: gain, Total: total},
 						CIWidth:    hw,
 						Replicates: m,
 					}); err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/hitting"
 	"repro/internal/index"
 )
@@ -421,7 +423,7 @@ func TestApproxWithIndexReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaIx, err := ApproxWithIndex(ix, 1, opts.K, false)
+	viaIx, err := ApproxWithIndex(context.Background(), ix, 1, opts.K, greedy.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,10 +432,10 @@ func TestApproxWithIndexReuse(t *testing.T) {
 			t.Fatalf("index reuse changed selection: %v vs %v", full.Nodes, viaIx.Nodes)
 		}
 	}
-	if _, err := ApproxWithIndex(ix, 2, -1, false); err == nil {
+	if _, err := ApproxWithIndex(context.Background(), ix, 2, -1, greedy.Config{}); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, err := ApproxWithIndex(ix, 9, 3, false); err == nil {
+	if _, err := ApproxWithIndex(context.Background(), ix, 9, 3, greedy.Config{}); err == nil {
 		t.Error("invalid problem accepted")
 	}
 }

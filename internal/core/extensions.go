@@ -26,7 +26,7 @@ import (
 // Both objectives are normalized to [0, 1] ranges (F1 by nL, F2 by n) so the
 // weight is scale-free; a positive combination of submodular functions is
 // submodular, so CELF remains valid. Gain is a pure read of both D-tables,
-// so the parallel drivers may shard it like any other index-backed oracle.
+// so greedy.Run may shard it like any other index-backed oracle.
 type combinedOracle struct {
 	d1, d2 *index.DTable
 	w      float64 // weight on normalized F1; 1−w on normalized F2
@@ -79,7 +79,7 @@ func Combined(g *graph.Graph, opts Options, w float64) (*Selection, error) {
 		n:  float64(g.N()),
 	}
 	start = time.Now()
-	res, err := driveWorkers(context.Background(), g.N(), opts.K, oracle, opts.Lazy, workers)
+	res, err := greedy.Run(context.Background(), g.N(), opts.K, oracle, greedy.Config{Lazy: opts.Lazy, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func GreedyEdgeDomination(g *graph.Graph, opts Options) (*Selection, error) {
 		},
 		func(u int) { s = append(s, u) },
 	)
-	res, err := greedy.Run(g.N(), opts.K, oracle)
+	res, err := greedy.Run(context.Background(), g.N(), opts.K, oracle, greedy.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -53,8 +53,8 @@ type SelectRequest struct {
 	R int
 	// Seed fixes the walk sampling; part of the index identity.
 	Seed uint64
-	// Strategy picks the greedy driver (default Lazy). Both drivers shard
-	// gain evaluations over Workers goroutines.
+	// Strategy picks the greedy loop (default Lazy). Both shard gain
+	// evaluations over Workers goroutines.
 	Strategy Strategy
 	// Workers shards index construction and gain evaluation (0 = engine
 	// default; capped at the engine max). Selections are identical for

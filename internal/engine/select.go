@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/greedy"
 	"repro/internal/index"
 )
 
@@ -182,13 +183,13 @@ func (e *Engine) runSelect(ctx context.Context, p params, prob index.Problem, k 
 		return nil, err
 	}
 	defer h.Release()
-	var onPick func(core.Pick) error
+	cfg := greedy.Config{Lazy: lazy, Workers: workers}
 	if onRound != nil {
-		onPick = func(pk core.Pick) error {
+		cfg.Observe = func(pk greedy.Pick) error {
 			return onRound(Round{Round: pk.Round, Node: pk.Node, Gain: pk.Gain, Objective: pk.Total})
 		}
 	}
-	sel, err := core.ApproxWithIndexStream(ctx, h.Index(), prob, k, lazy, workers, onPick)
+	sel, err := core.ApproxWithIndex(ctx, h.Index(), prob, k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -18,10 +18,10 @@ func TestDriversReturnContextError(t *testing.T) {
 	cancel()
 	n, k := 5000, 10
 	drivers := map[string]func() (*Result, error){
-		"RunCtx":            func() (*Result, error) { return RunCtx(ctx, n, k, pureOracle{}) },
-		"RunLazyCtx":        func() (*Result, error) { return RunLazyCtx(ctx, n, k, pureOracle{}) },
-		"RunWorkersCtx":     func() (*Result, error) { return RunWorkersCtx(ctx, n, k, pureOracle{}, 4) },
-		"RunLazyWorkersCtx": func() (*Result, error) { return RunLazyWorkersCtx(ctx, n, k, pureOracle{}, 4) },
+		"plain":           func() (*Result, error) { return Run(ctx, n, k, pureOracle{}, Config{}) },
+		"lazy":            func() (*Result, error) { return Run(ctx, n, k, pureOracle{}, Config{Lazy: true}) },
+		"plain/workers=4": func() (*Result, error) { return Run(ctx, n, k, pureOracle{}, Config{Workers: 4}) },
+		"lazy/workers=4":  func() (*Result, error) { return Run(ctx, n, k, pureOracle{}, Config{Lazy: true, Workers: 4}) },
 	}
 	for name, run := range drivers {
 		res, err := run()
@@ -36,12 +36,12 @@ func TestDriversReturnContextError(t *testing.T) {
 
 func TestBackgroundContextMatchesPlainDrivers(t *testing.T) {
 	n, k := 300, 7
-	want, err := Run(n, k, pureOracle{})
+	want, err := Run(context.Background(), n, k, pureOracle{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, err := RunWorkersCtx(context.Background(), n, k, pureOracle{}, workers)
+		got, err := Run(context.Background(), n, k, pureOracle{}, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,21 +1,20 @@
 // Package greedy implements the cardinality-constrained submodular
-// maximization loop of Algorithm 1 in two flavors: plain greedy, which
-// re-evaluates every candidate's marginal gain each round, and lazy greedy
-// (CELF, the "lazy evaluation strategy [19]" the paper cites), which exploits
-// submodularity — a candidate's gain can only shrink as the set grows — to
-// skip most re-evaluations.
+// maximization loop of Algorithm 1 behind one driver, Run, in two flavors:
+// plain greedy, which re-evaluates every candidate's marginal gain each
+// round, and lazy greedy (CELF, the "lazy evaluation strategy [19]" the
+// paper cites), which exploits submodularity — a candidate's gain can only
+// shrink as the set grows — to skip most re-evaluations.
 //
-// Both drivers are generic over an Oracle so the same loop serves the
-// DP-based greedy algorithm, the sampling-based greedy algorithm, and the
-// approximate (inverted-index) greedy algorithm.
-//
-// RunWorkers and RunLazyWorkers (parallel.go) are the same two drivers with
-// gain evaluation sharded over goroutines — the initial CELF sweep is split
-// into contiguous candidate ranges and stale heap entries are re-evaluated
-// in batches of up to one per worker, using the BatchOracle fast path when
-// the oracle provides one. They require a concurrency-safe Gain (pure reads
-// between Updates, as index.DTable guarantees) and produce bit-for-bit the
-// selections of their serial counterparts for every worker count.
+// Run is generic over an Oracle so the same loop serves the DP-based greedy
+// algorithm, the sampling-based greedy algorithm, the approximate
+// (inverted-index) greedy algorithm and the shard coordinator. Config
+// selects the flavor, the number of goroutines gain evaluation is sharded
+// over — the plain sweep and CELF's initial sweep are split into contiguous
+// candidate ranges, and stale heap entries are re-evaluated in batches of
+// up to one per worker, using the BatchOracle fast path when the oracle
+// provides one — and an observer of each committed pick. Selections are
+// bit-for-bit identical for every worker count. RunStochastic
+// (stochastic.go) is the sampled third flavor.
 package greedy
 
 import (
@@ -58,6 +57,36 @@ func (r *Result) Objective() float64 {
 	return total
 }
 
+// Pick is one committed greedy round: the node chosen in round Round
+// (1-based), its recorded marginal gain, and the objective value after the
+// round — the running telescoped sum of gains, accumulated in selection
+// order so that the last round's Total is bit-for-bit Result.Objective().
+type Pick struct {
+	Round int
+	Node  int
+	Gain  float64
+	Total float64
+}
+
+// Config selects how Run drives the greedy loop.
+type Config struct {
+	// Lazy selects CELF lazy evaluation instead of the plain per-round scan.
+	// It is exact only for a submodular Gain.
+	Lazy bool
+	// Workers shards gain evaluation over this many goroutines; <= 1 runs
+	// every evaluation on the calling goroutine. With more than one worker
+	// the oracle's Gain (and GainBatch) must be safe for concurrent calls
+	// between Updates (see BatchOracle).
+	Workers int
+	// Observe, when non-nil, is called with each committed pick, in
+	// selection order, on the calling goroutine and after the pick has been
+	// applied to the oracle — the hook the streaming selection paths ride
+	// on. It cannot change what is selected, so a run with an observer
+	// selects bit-for-bit what the same run without one selects. A non-nil
+	// error aborts the run: Run returns that error and no result.
+	Observe func(Pick) error
+}
+
 func validate(n, k int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("greedy: no candidates (n=%d)", n)
@@ -77,62 +106,94 @@ func validate(n, k int) (int, error) {
 // large candidate set.
 const cancelCheckStride = 1024
 
-// PickObserver is notified of each committed pick, in selection order,
-// immediately after the driver has applied it to the oracle — the hook the
-// streaming selection path rides on. A non-nil error aborts the run: the
-// driver returns that error and no result, leaving the oracle
-// mid-selection. A nil PickObserver is valid and observes nothing.
+// Run selects up to k of the candidates 0..n-1 greedily (k above n is
+// clamped). Plain greedy is Algorithm 1 verbatim: k rounds, each sweeping
+// every remaining candidate, O(kn) Gain calls, issued as GainBatch calls
+// over cancelCheckStride-wide candidate ranges when the oracle is a
+// BatchOracle. Lazy greedy evaluates every candidate once against the
+// empty set, batched the same way, and afterwards re-evaluates the top of a
+// max-heap only while its cached gain is stale: because gains are
+// non-increasing, a fresh top-of-heap gain that still dominates every
+// cached gain is optimal for the round. Typically O(n + k·small) Gain
+// calls.
 //
-// The observer cannot change what is selected: picks are reported after
-// being committed, so a run with an observer selects bit-for-bit what the
-// same run without one selects.
-type PickObserver func(u int, gain float64) error
-
-// observe reports one committed pick to obs, if any.
-func (obs PickObserver) observe(u int, gain float64) error {
-	if obs == nil {
-		return nil
-	}
-	return obs(u, gain)
-}
-
-// Run executes plain greedy: k rounds, each scanning all remaining
-// candidates (Algorithm 1 verbatim). O(kn) Gain calls, issued as GainBatch
-// calls over cancelCheckStride-wide candidate ranges when the oracle is a
-// BatchOracle.
-func Run(n, k int, oracle Oracle) (*Result, error) {
-	return RunCtx(context.Background(), n, k, oracle)
-}
-
-// RunCtx is Run with cooperative cancellation: the scan checks ctx every
-// cancelCheckStride evaluations and the driver returns ctx's error (and no
-// result) once it is observed canceled. The oracle is left mid-selection and
-// must be discarded.
-func RunCtx(ctx context.Context, n, k int, oracle Oracle) (*Result, error) {
-	return RunStream(ctx, n, k, oracle, nil)
-}
-
-// RunStream is RunCtx with a per-pick observer; see PickObserver.
-func RunStream(ctx context.Context, n, k int, oracle Oracle, obs PickObserver) (*Result, error) {
+// Both flavors break gain ties toward the smaller node id, so they make
+// identical selections on a submodular oracle, and every worker count
+// selects bit-for-bit what one worker selects: a worker scans a contiguous
+// range for its local first maximum, reduced by the same rule, and a batch
+// of refreshed CELF entries can only tighten cached upper bounds — a
+// candidate is selected only when its entry is fresh for the round, at
+// which point it is the unique (gain, smaller id) argmax.
+//
+// Run checks ctx between evaluation strides and heap steps and returns
+// ctx's error (and no result) once it is observed canceled. After an error
+// the oracle is left mid-selection and must be discarded.
+func Run(ctx context.Context, n, k int, oracle Oracle, cfg Config) (*Result, error) {
 	k, err := validate(n, k)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Selected: make([]int, 0, k), Gains: make([]float64, 0, k)}
+	workers := min(max(cfg.Workers, 1), n)
+	rec := &recorder{
+		res:     &Result{Selected: make([]int, 0, k), Gains: make([]float64, 0, k)},
+		observe: cfg.Observe,
+	}
+	if cfg.Lazy {
+		err = runLazy(ctx, n, k, oracle, workers, rec)
+	} else {
+		err = runPlain(ctx, n, k, oracle, workers, rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rec.res, nil
+}
+
+// RunLazyWorkersStream is Run with Config{Lazy: true, Workers: workers,
+// Observe: obs}. It remains only because the repository benchmark under
+// bench/ replays its traced selections through this name.
+func RunLazyWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers int, obs func(Pick) error) (*Result, error) {
+	return Run(ctx, n, k, oracle, Config{Lazy: true, Workers: workers, Observe: obs})
+}
+
+// recorder accumulates the committed picks of one run and reports each to
+// the observer.
+type recorder struct {
+	res     *Result
+	observe func(Pick) error
+	total   float64
+}
+
+// commit applies u to the oracle, records it and reports it.
+func (r *recorder) commit(oracle Oracle, u int, gain float64) error {
+	oracle.Update(u)
+	r.res.Selected = append(r.res.Selected, u)
+	r.res.Gains = append(r.res.Gains, gain)
+	if r.observe == nil {
+		return nil
+	}
+	r.total += gain
+	return r.observe(Pick{Round: len(r.res.Selected), Node: u, Gain: gain, Total: r.total})
+}
+
+// runPlain is the plain loop: each round sweeps every unselected candidate,
+// sharded over workers, and commits the first maximum.
+func runPlain(ctx context.Context, n, k int, oracle Oracle, workers int, rec *recorder) error {
 	selected := make([]bool, n)
 	gains := make([]float64, n)
-	var us []int
+	shards := shardBounds(n, workers)
+	bufs := make([][]int, len(shards))
 	for round := 0; round < k; round++ {
-		us = sweepRange(ctx, oracle, gains, us, selected, 0, n)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+		sweep(ctx, oracle, gains, bufs, selected, shards)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		best, bestGain := -1, 0.0
 		for u := 0; u < n; u++ {
 			if selected[u] {
 				continue
 			}
-			res.Evaluations++
+			rec.res.Evaluations++
 			if best == -1 || gains[u] > bestGain {
 				best, bestGain = u, gains[u]
 			}
@@ -141,14 +202,11 @@ func RunStream(ctx context.Context, n, k int, oracle Oracle, obs PickObserver) (
 			break
 		}
 		selected[best] = true
-		oracle.Update(best)
-		res.Selected = append(res.Selected, best)
-		res.Gains = append(res.Gains, bestGain)
-		if err := obs.observe(best, bestGain); err != nil {
-			return nil, err
+		if err := rec.commit(oracle, best, bestGain); err != nil {
+			return err
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // celfItem is a heap entry: a candidate with the gain observed at the round
@@ -164,7 +222,7 @@ type celfHeap []celfItem
 func (h celfHeap) Len() int { return len(h) }
 
 // Less orders by gain descending with ties broken toward the smaller node
-// id, matching plain greedy's first-maximum rule so the two drivers make
+// id, matching plain greedy's first-maximum rule so the two flavors make
 // identical selections and are directly comparable in tests and ablations.
 func (h celfHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
@@ -182,70 +240,67 @@ func (h *celfHeap) Pop() interface{} {
 	return it
 }
 
-// RunLazy executes CELF lazy greedy. All candidates are evaluated once in
-// round 0, batched like Run's sweeps; afterwards, the top of a max-heap is
-// re-evaluated only if its cached gain is stale. Because gains are
-// non-increasing (submodularity), a fresh top-of-heap gain that still
-// dominates every cached gain is guaranteed optimal for the round.
-// Typically O(n + k·small) Gain calls.
-func RunLazy(n, k int, oracle Oracle) (*Result, error) {
-	return RunLazyCtx(context.Background(), n, k, oracle)
-}
-
-// RunLazyCtx is RunLazy with cooperative cancellation; see RunCtx for the
-// contract.
-func RunLazyCtx(ctx context.Context, n, k int, oracle Oracle) (*Result, error) {
-	return RunLazyStream(ctx, n, k, oracle, nil)
-}
-
-// RunLazyStream is RunLazyCtx with a per-pick observer; see PickObserver.
-func RunLazyStream(ctx context.Context, n, k int, oracle Oracle, obs PickObserver) (*Result, error) {
-	k, err := validate(n, k)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Selected: make([]int, 0, k), Gains: make([]float64, 0, k)}
+// runLazy is the CELF loop: a sharded initial sweep against the empty set,
+// then heap steps that commit a fresh top or refresh stale entries.
+func runLazy(ctx context.Context, n, k int, oracle Oracle, workers int, rec *recorder) error {
 	// The initial sweep is evaluated against the empty set, which is the
 	// state of round 1, so the entries are born fresh for the first pick.
 	gains := make([]float64, n)
-	sweepRange(ctx, oracle, gains, nil, nil, 0, n)
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
+	shards := shardBounds(n, workers)
+	sweep(ctx, oracle, gains, make([][]int, len(shards)), nil, shards)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	res.Evaluations += n
-	h := make(celfHeap, 0, n)
-	for u := 0; u < n; u++ {
-		h = append(h, celfItem{u: int32(u), round: 1, gain: gains[u]})
+	rec.res.Evaluations += n
+	h := make(celfHeap, n)
+	for u := range h {
+		h[u] = celfItem{u: int32(u), round: 1, gain: gains[u]}
 	}
 	heap.Init(&h)
+
+	batch := make([]celfItem, 0, workers)
 	for round := int32(1); int(round) <= k && h.Len() > 0; {
 		// One heap step costs at least a Gain or an Update, so a per-step
 		// check keeps cancellation latency bounded without measurable cost.
 		faultinject.Delay(faultinject.SiteGreedyStride)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		top := h[0]
-		if top.round == round {
+		if h[0].round == round {
 			// Fresh this round: by submodularity no other candidate can beat
 			// it, so select it.
-			heap.Pop(&h)
-			oracle.Update(int(top.u))
-			res.Selected = append(res.Selected, int(top.u))
-			res.Gains = append(res.Gains, top.gain)
-			if err := obs.observe(int(top.u), top.gain); err != nil {
-				return nil, err
+			top := heap.Pop(&h).(celfItem)
+			if err := rec.commit(oracle, int(top.u), top.gain); err != nil {
+				return err
 			}
 			round++
 			continue
 		}
-		// Stale: recompute against the current set and reinsert.
-		h[0].gain = oracle.Gain(int(top.u))
-		h[0].round = round
-		res.Evaluations++
-		heap.Fix(&h, 0)
+		if workers == 1 {
+			// A one-entry refresh: recompute the top in place.
+			h[0].gain = oracle.Gain(int(h[0].u))
+			h[0].round = round
+			rec.res.Evaluations++
+			heap.Fix(&h, 0)
+			continue
+		}
+		// Pop the stale prefix of the heap, up to one entry per worker. Stop
+		// early if a fresh entry surfaces: everything below it in the heap is
+		// dominated this round and not worth refreshing.
+		batch = batch[:0]
+		for len(batch) < workers && h.Len() > 0 && h[0].round != round {
+			batch = append(batch, heap.Pop(&h).(celfItem))
+		}
+		each(len(batch), func(b int) {
+			batch[b].gain = oracle.Gain(int(batch[b].u))
+			batch[b].round = round
+		})
+		rec.res.Evaluations += len(batch)
+		for _, it := range batch {
+			heap.Push(&h, it)
+		}
 	}
-	return res, nil
+	return nil
 }
 
 // funcOracle adapts a pair of closures to the Oracle interface.

@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func randomCoverage(seed uint64, n, elements int) *coverageOracle {
 func TestPlainGreedyPicksObviousWinner(t *testing.T) {
 	// Candidate 0 covers everything; it must be picked first.
 	o := newCoverage([][]int{{0, 1, 2, 3}, {0}, {1}, {2}}, 4)
-	res, err := Run(4, 2, o)
+	res, err := Run(context.Background(), 4, 2, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestLazyMatchesPlainSelectionValue(t *testing.T) {
 		const n, elements, k = 40, 60, 8
 		plain := randomCoverage(seed, n, elements)
 		lazy := randomCoverage(seed, n, elements)
-		rp, err1 := Run(n, k, plain)
-		rl, err2 := RunLazy(n, k, lazy)
+		rp, err1 := Run(context.Background(), n, k, plain, Config{})
+		rl, err2 := Run(context.Background(), n, k, lazy, Config{Lazy: true})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -97,8 +98,8 @@ func TestLazyUsesFewerEvaluations(t *testing.T) {
 	const n, elements, k = 200, 300, 20
 	plain := randomCoverage(7, n, elements)
 	lazy := randomCoverage(7, n, elements)
-	rp, _ := Run(n, k, plain)
-	rl, _ := RunLazy(n, k, lazy)
+	rp, _ := Run(context.Background(), n, k, plain, Config{})
+	rl, _ := Run(context.Background(), n, k, lazy, Config{Lazy: true})
 	if rl.Evaluations >= rp.Evaluations {
 		t.Fatalf("lazy evaluations %d not fewer than plain %d", rl.Evaluations, rp.Evaluations)
 	}
@@ -109,7 +110,7 @@ func TestLazyUsesFewerEvaluations(t *testing.T) {
 
 func TestKClampedToN(t *testing.T) {
 	o := newCoverage([][]int{{0}, {1}, {2}}, 3)
-	res, err := Run(3, 10, o)
+	res, err := Run(context.Background(), 3, 10, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestKClampedToN(t *testing.T) {
 		t.Fatalf("selected %d nodes, want 3", len(res.Selected))
 	}
 	o2 := newCoverage([][]int{{0}, {1}, {2}}, 3)
-	res2, err := RunLazy(3, 10, o2)
+	res2, err := Run(context.Background(), 3, 10, o2, Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,30 +129,30 @@ func TestKClampedToN(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	o := newCoverage([][]int{{0}}, 1)
-	if _, err := Run(0, 1, o); err == nil {
+	if _, err := Run(context.Background(), 0, 1, o, Config{}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := Run(1, -1, o); err == nil {
+	if _, err := Run(context.Background(), 1, -1, o, Config{}); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, err := RunLazy(0, 1, o); err == nil {
+	if _, err := Run(context.Background(), 0, 1, o, Config{Lazy: true}); err == nil {
 		t.Error("lazy n=0 accepted")
 	}
-	if _, err := RunLazy(1, -2, o); err == nil {
+	if _, err := Run(context.Background(), 1, -2, o, Config{Lazy: true}); err == nil {
 		t.Error("lazy negative k accepted")
 	}
 }
 
 func TestZeroBudget(t *testing.T) {
 	o := newCoverage([][]int{{0}, {1}}, 2)
-	res, err := Run(2, 0, o)
+	res, err := Run(context.Background(), 2, 0, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != 0 || res.Evaluations != 0 {
 		t.Fatalf("k=0: selected=%v evals=%d", res.Selected, res.Evaluations)
 	}
-	res, err = RunLazy(2, 0, o)
+	res, err = Run(context.Background(), 2, 0, o, Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +164,9 @@ func TestZeroBudget(t *testing.T) {
 func TestNoRepeatSelections(t *testing.T) {
 	f := func(seed uint64) bool {
 		const n, elements, k = 30, 40, 15
-		for _, run := range []func(int, int, Oracle) (*Result, error){Run, RunLazy} {
+		for _, cfg := range []Config{{}, {Lazy: true}} {
 			o := randomCoverage(seed, n, elements)
-			res, err := run(n, k, o)
+			res, err := Run(context.Background(), n, k, o, cfg)
 			if err != nil {
 				return false
 			}
@@ -188,7 +189,7 @@ func TestGainsNonIncreasing(t *testing.T) {
 	// Greedy marginal gains on a submodular objective are non-increasing in
 	// selection order.
 	o := randomCoverage(11, 50, 80)
-	res, _ := Run(50, 12, o)
+	res, _ := Run(context.Background(), 50, 12, o, Config{})
 	for i := 1; i < len(res.Gains); i++ {
 		if res.Gains[i] > res.Gains[i-1]+1e-9 {
 			t.Fatalf("gain increased: %v then %v", res.Gains[i-1], res.Gains[i])
@@ -229,7 +230,7 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 			}
 		}
 		o := newCoverage(covers, elements)
-		res, _ := Run(n, k, o)
+		res, _ := Run(context.Background(), n, k, o, Config{})
 		if got := res.Objective(); got < (1-1/math.E)*best-1e-9 {
 			t.Fatalf("trial %d: greedy %v below (1-1/e)·OPT = %v", trial, got, (1-1/math.E)*best)
 		}
@@ -242,7 +243,7 @@ func TestOracleFuncs(t *testing.T) {
 		func(u int) float64 { return float64(-u) },
 		func(u int) { calls++ },
 	)
-	res, err := Run(3, 1, o)
+	res, err := Run(context.Background(), 3, 1, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestOracleFuncs(t *testing.T) {
 func BenchmarkPlainGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := randomCoverage(1, 500, 800)
-		if _, err := Run(500, 30, o); err != nil {
+		if _, err := Run(context.Background(), 500, 30, o, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,7 +264,7 @@ func BenchmarkPlainGreedy(b *testing.B) {
 func BenchmarkLazyGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := randomCoverage(1, 500, 800)
-		if _, err := RunLazy(500, 30, o); err != nil {
+		if _, err := Run(context.Background(), 500, 30, o, Config{Lazy: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

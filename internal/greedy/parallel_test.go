@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -60,12 +61,12 @@ func randomCover(n, universe int, seed uint64) func() *coverOracle {
 func TestRunWorkersMatchesSerial(t *testing.T) {
 	mk := randomCover(300, 500, 5)
 	const k = 25
-	want, err := Run(300, k, mk())
+	want, err := Run(context.Background(), 300, k, mk(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 400} {
-		got, err := RunWorkers(300, k, mk(), workers)
+		got, err := Run(context.Background(), 300, k, mk(), Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,12 +82,12 @@ func TestRunWorkersMatchesSerial(t *testing.T) {
 func TestRunLazyWorkersMatchesSerial(t *testing.T) {
 	mk := randomCover(400, 600, 9)
 	const k = 30
-	want, err := RunLazy(400, k, mk())
+	want, err := Run(context.Background(), 400, k, mk(), Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got, err := RunLazyWorkers(400, k, mk(), workers)
+		got, err := Run(context.Background(), 400, k, mk(), Config{Lazy: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestRunLazyWorkersMatchesSerial(t *testing.T) {
 		}
 	}
 	// The plain and lazy drivers must still agree with each other.
-	plain, _ := Run(400, k, mk())
+	plain, _ := Run(context.Background(), 400, k, mk(), Config{})
 	if !reflect.DeepEqual(plain.Selected, want.Selected) {
 		t.Fatal("lazy and plain drivers disagree on the test instance")
 	}
@@ -107,23 +108,23 @@ func TestRunLazyWorkersMatchesSerial(t *testing.T) {
 func TestParallelDriversUseGainBatch(t *testing.T) {
 	mk := randomCover(200, 300, 13)
 	const k = 12
-	want, err := RunLazy(200, k, mk())
+	want, err := Run(context.Background(), 200, k, mk(), Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, err := RunLazyWorkers(200, k, &batchCoverOracle{*mk()}, workers)
+		got, err := Run(context.Background(), 200, k, &batchCoverOracle{*mk()}, Config{Lazy: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Selected, want.Selected) {
 			t.Fatalf("batch oracle workers=%d: Selected %v != %v", workers, got.Selected, want.Selected)
 		}
-		gotPlain, err := RunWorkers(200, k, &batchCoverOracle{*mk()}, workers)
+		gotPlain, err := Run(context.Background(), 200, k, &batchCoverOracle{*mk()}, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, _ := Run(200, k, mk())
+		plain, _ := Run(context.Background(), 200, k, mk(), Config{})
 		if !reflect.DeepEqual(gotPlain.Selected, plain.Selected) {
 			t.Fatalf("batch oracle plain workers=%d: Selected %v != %v", workers, gotPlain.Selected, plain.Selected)
 		}
@@ -166,12 +167,12 @@ func TestSerialDriversBatchSweeps(t *testing.T) {
 		}
 	}
 
-	want, err := Run(n, k, mk())
+	want, err := Run(context.Background(), n, k, mk(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := &countingBatchOracle{batchCoverOracle: batchCoverOracle{*mk()}}
-	got, err := Run(n, k, o)
+	got, err := Run(context.Background(), n, k, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +183,12 @@ func TestSerialDriversBatchSweeps(t *testing.T) {
 			o.batches, o.batched, o.singles, k*strides, k*n-k*(k-1)/2)
 	}
 
-	want, err = RunLazy(n, k, mk())
+	want, err = Run(context.Background(), n, k, mk(), Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o = &countingBatchOracle{batchCoverOracle: batchCoverOracle{*mk()}}
-	got, err = RunLazy(n, k, o)
+	got, err = Run(context.Background(), n, k, o, Config{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +202,14 @@ func TestSerialDriversBatchSweeps(t *testing.T) {
 
 func TestRunLazyWorkersValidation(t *testing.T) {
 	o := &coverOracle{sets: [][]int{{0}}, covered: make([]bool, 1)}
-	if _, err := RunLazyWorkers(0, 1, o, 4); err == nil {
+	if _, err := Run(context.Background(), 0, 1, o, Config{Lazy: true, Workers: 4}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := RunWorkers(1, -1, o, 4); err == nil {
+	if _, err := Run(context.Background(), 1, -1, o, Config{Workers: 4}); err == nil {
 		t.Error("negative k accepted")
 	}
 	// k > n clamps, workers > n clamps.
-	res, err := RunLazyWorkers(1, 5, o, 16)
+	res, err := Run(context.Background(), 1, 5, o, Config{Lazy: true, Workers: 16})
 	if err != nil || len(res.Selected) != 1 {
 		t.Fatalf("clamped run: %v %v", res, err)
 	}

@@ -14,10 +14,10 @@ import (
 // (1 − 1/e − eps) approximation in expectation with only O(n·ln(1/eps))
 // total gain evaluations — independent of k.
 //
-// It slots into this module as the third driver next to Run and RunLazy:
-// on the paper's problems it trades a provably bounded sliver of quality for
-// k-independent cost, which matters when both n and k are large and even
-// CELF's first full sweep dominates.
+// It slots into this module as the third flavor next to Run's plain and
+// lazy loops: on the paper's problems it trades a provably bounded sliver
+// of quality for k-independent cost, which matters when both n and k are
+// large and even CELF's first full sweep dominates.
 func RunStochastic(n, k int, oracle Oracle, eps float64, seed uint64) (*Result, error) {
 	k, err := validate(n, k)
 	if err != nil {
@@ -51,7 +51,7 @@ func RunStochastic(n, k int, oracle Oracle, eps float64, seed uint64) (*Result, 
 			j := i + r.Intn(len(remaining)-i)
 			remaining[i], remaining[j] = remaining[j], remaining[i]
 		}
-		// Ties break toward the smaller node id, matching the other drivers,
+		// Ties break toward the smaller node id, matching Run's loops,
 		// so a full sample reproduces plain greedy exactly.
 		bestIdx, bestGain := -1, 0.0
 		for i := 0; i < s; i++ {

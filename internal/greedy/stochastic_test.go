@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestStochasticFewerEvaluationsThanPlain(t *testing.T) {
 	const n, elements, k = 400, 600, 40
 	plain := randomCoverage(7, n, elements)
 	stoch := randomCoverage(7, n, elements)
-	rp, _ := Run(n, k, plain)
+	rp, _ := Run(context.Background(), n, k, plain, Config{})
 	rs, err := RunStochastic(n, k, stoch, 0.1, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestStochasticQualityNearPlain(t *testing.T) {
 	// plain greedy's objective on coverage instances.
 	const n, elements, k = 200, 300, 15
 	plain := randomCoverage(11, n, elements)
-	rp, _ := Run(n, k, plain)
+	rp, _ := Run(context.Background(), n, k, plain, Config{})
 	total := 0.0
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {
@@ -105,7 +106,7 @@ func TestStochasticSampleCoversAllWhenTiny(t *testing.T) {
 	const n, elements, k = 12, 20, 4
 	plain := randomCoverage(5, n, elements)
 	stoch := randomCoverage(5, n, elements)
-	rp, _ := Run(n, k, plain)
+	rp, _ := Run(context.Background(), n, k, plain, Config{})
 	rs, _ := RunStochastic(n, k, stoch, 1e-9, 1)
 	if math.Abs(rp.Objective()-rs.Objective()) > 1e-9 {
 		t.Fatalf("full-sample stochastic %v != plain %v", rs.Objective(), rp.Objective())

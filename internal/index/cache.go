@@ -282,8 +282,7 @@ func (c *Cache) Acquire(key CacheKey, g *graph.Graph, build func() (*Index, erro
 // mid-population the cache keeps what it has — the two indexes are
 // interchangeable, since walks are fully determined by (graph, L, R, seed).
 // The engine uses this to serve selections over caller-materialized indexes
-// (the old SelectWithIndex facade path) through the same cache stack as
-// everything else.
+// (Engine.AdoptIndex) through the same cache stack as everything else.
 func (c *Cache) Adopt(key CacheKey, ix *Index) error {
 	if ix == nil {
 		return errors.New("index: adopt nil index")

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/index"
 	"repro/internal/testleak"
 )
@@ -79,7 +80,7 @@ func TestSelectMatchesDirectComputation(t *testing.T) {
 			t.Fatal(err)
 		}
 		lazy := tc.problem == index.Problem1
-		want, err := core.ApproxWithIndexWorkers(ix, tc.problem, 6, lazy, 1)
+		want, err := core.ApproxWithIndex(context.Background(), ix, tc.problem, 6, greedy.Config{Lazy: lazy, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

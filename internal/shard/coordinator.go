@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/latency"
 )
 
 // Config configures a Coordinator. The request-shape knobs (MaxR, MaxK,
@@ -88,7 +89,7 @@ type Coordinator struct {
 	merges         atomic.Int64
 	degradedMerges atomic.Int64
 	retries        atomic.Int64
-	mergeLat       histogram
+	mergeLat       latency.Histogram
 	perShard       []connStats
 
 	// closed is closed by Close, aborting any retry backoff still sleeping —
@@ -482,5 +483,5 @@ func (co *Coordinator) noteMerge(start time.Time, m mergeMeta) {
 	if m.degraded {
 		co.degradedMerges.Add(1)
 	}
-	co.mergeLat.observe(time.Since(start))
+	co.mergeLat.Observe(time.Since(start))
 }

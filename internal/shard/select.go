@@ -12,18 +12,18 @@ import (
 	"repro/internal/index"
 )
 
-// Select runs one top-K selection with the engine's own greedy drivers —
-// CELF (greedy.RunLazyWorkersStream), or greedy.RunWorkersStream for
-// Strategy Plain — over a coordinator-side oracle whose every gain is a
-// scatter of the committed set and the candidates to all shards, merged by
-// integer addition (see selectOracle). Round 1 is served from each shard's
-// memoized empty-set sums; each later CELF re-evaluation is a small
-// PartialGain against that round's memoized table.
+// Select runs one top-K selection with the engine's own greedy driver —
+// greedy.Run, CELF or the plain loop for Strategy Plain — over a
+// coordinator-side oracle whose every gain is a scatter of the committed
+// set and the candidates to all shards, merged by integer addition (see
+// selectOracle). Round 1 is served from each shard's memoized empty-set
+// sums; each later CELF re-evaluation is a small PartialGain against that
+// round's memoized table.
 //
 // Selections — Nodes, Gains, the telescoped Objective — and Evaluations are
 // bit-identical to the unsharded engine for both strategies and every
 // worker count: the merged gain of every candidate is the same float64
-// value the unsharded D-table computes, and the drivers are the same code.
+// value the unsharded D-table computes, and the driver is the same code.
 // Workers resolve as the engine's default configuration resolves them:
 // zero or more than GOMAXPROCS means GOMAXPROCS.
 func (co *Coordinator) Select(ctx context.Context, req engine.SelectRequest) (*engine.SelectResult, error) {
@@ -31,8 +31,9 @@ func (co *Coordinator) Select(ctx context.Context, req engine.SelectRequest) (*e
 }
 
 // SelectStream is Select that emits each round's pick as it is decided,
-// mirroring engine.SelectStream: emit runs on the calling goroutine in
-// round order, and a non-nil emit error aborts the run.
+// mirroring engine.SelectStream: emit receives greedy.Run's picks on the
+// calling goroutine in round order, and a non-nil emit error aborts the
+// run.
 func (co *Coordinator) SelectStream(ctx context.Context, req engine.SelectRequest, emit func(engine.Round) error) (*engine.SelectResult, error) {
 	return co.selectRun(ctx, req, emit)
 }
@@ -66,21 +67,14 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 	o := co.newSelectOracle(runCtx, p, prob)
 	defer o.cancel()
 
-	var obs greedy.PickObserver
+	cfg := greedy.Config{Lazy: lazy, Workers: workers}
 	if emit != nil {
-		round, total := 0, 0.0
-		obs = func(u int, gain float64) error {
-			round++
-			total += gain
-			return emit(engine.Round{Round: round, Node: u, Gain: gain, Objective: total})
+		cfg.Observe = func(pk greedy.Pick) error {
+			return emit(engine.Round{Round: pk.Round, Node: pk.Node, Gain: pk.Gain, Objective: pk.Total})
 		}
 	}
-	drive := greedy.RunWorkersStream
-	if lazy {
-		drive = greedy.RunLazyWorkersStream
-	}
 	start := time.Now()
-	sel, err := drive(o.ctx, p.g.N(), req.K, o, workers, obs)
+	sel, err := greedy.Run(o.ctx, p.g.N(), req.K, o, cfg)
 	if err := o.outcome(err); err != nil {
 		return nil, err
 	}
@@ -103,7 +97,7 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 // the answers exactly as Coordinator.Gain does (mergeGains), so gains are
 // bit-identical to the unsharded D-table's.
 //
-// The drivers call Gain/GainBatch concurrently between Updates; both only
+// greedy.Run calls Gain/GainBatch concurrently between Updates; both only
 // read the set. A failed scatter cannot travel through the Oracle
 // interface, so the oracle records it and cancels its context — the one
 // the driver runs under — which stops the driver at its next check.

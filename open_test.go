@@ -8,11 +8,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/greedy"
 	"repro/internal/index"
 )
 
 // The context-first API must agree bit-for-bit with the one-shot Solve
-// facade (and hence with the deprecated shims, which delegate to it).
+// facade.
 func TestOpenSelectMatchesSolveFacade(t *testing.T) {
 	g := testGraph(t)
 	en, err := Open(g, WithWorkers(2))
@@ -192,7 +193,7 @@ func TestOpenAdoptIndex(t *testing.T) {
 	if !res.IndexCached {
 		t.Fatal("adopted index was rebuilt")
 	}
-	want, err := core.ApproxWithIndexWorkers(ix, index.Problem1, 4, true, 0)
+	want, err := core.ApproxWithIndex(context.Background(), ix, index.Problem1, 4, greedy.Config{Lazy: true, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,7 @@ func LoadDataset(name string, scale float64) (*Graph, error) { return dataset.Lo
 // DatasetNames lists the Table 2 dataset names in paper order.
 func DatasetNames() []string { return dataset.Names() }
 
-// Algorithm selects the solver used by MinimizeHittingTime and
-// MaximizeCoverage.
+// Algorithm selects the solver Solve uses.
 type Algorithm int
 
 const (
@@ -219,29 +218,6 @@ func Solve(g *Graph, p Problem, opts Options) (*Selection, error) {
 	}
 }
 
-// MinimizeHittingTime solves Problem 1: select up to K nodes minimizing the
-// total expected L-length hitting time from the remaining nodes
-// (equivalently, maximizing F1(S) = nL − Σ_{u∈V\S} h^L_{uS}).
-//
-// Deprecated: use Open and Engine.Select with Problem1 — the context-first
-// API shares walk indexes and memoized reads across calls and problems —
-// or Solve with Problem1 for the direct (DP, sampling, baseline)
-// algorithms. This shim is Solve(g, Problem1, opts); selections are
-// bit-for-bit unchanged.
-func MinimizeHittingTime(g *Graph, opts Options) (*Selection, error) {
-	return Solve(g, Problem1, opts)
-}
-
-// MaximizeCoverage solves Problem 2: select up to K nodes maximizing the
-// expected number of nodes whose L-length random walk hits the selection
-// (F2(S) = E[Σ_u X^L_{uS}]).
-//
-// Deprecated: use Open and Engine.Select with Problem2, or Solve with
-// Problem2; see MinimizeHittingTime for the shim semantics.
-func MaximizeCoverage(g *Graph, opts Options) (*Selection, error) {
-	return Solve(g, Problem2, opts)
-}
-
 // Metrics holds the paper's two effectiveness metrics: AHT (average hitting
 // time, lower is better) and EHN (expected number of dominated nodes, higher
 // is better).
@@ -327,8 +303,8 @@ func SampleSize(n int, eps, delta float64) int {
 }
 
 // BuildIndex materializes the inverted index of Algorithm 3 (R walks of
-// length L per node) for reuse across budgets and problems via
-// SelectWithIndex.
+// length L per node) for reuse across budgets and problems: hand it to an
+// Engine with Engine.AdoptIndex and Select against it.
 func BuildIndex(g *Graph, L, R int, seed uint64) (*Index, error) {
 	return index.Build(g, L, R, seed)
 }
@@ -336,8 +312,7 @@ func BuildIndex(g *Graph, L, R int, seed uint64) (*Index, error) {
 // Index is the materialized random-walk sample index of Algorithm 3.
 type Index = index.Index
 
-// Problem identifies one of the paper's two optimization problems for
-// SelectWithIndex.
+// Problem identifies one of the paper's two optimization problems.
 type Problem = index.Problem
 
 // Problems.
@@ -345,29 +320,6 @@ const (
 	Problem1 = index.Problem1 // minimize total hitting time
 	Problem2 = index.Problem2 // maximize expected coverage
 )
-
-// SelectWithIndex runs the approximate greedy algorithm on an already-built
-// index, sharing one materialization across problems and budgets. Gain
-// evaluations are sharded over all available cores; use
-// SelectWithIndexWorkers to pin the worker count.
-//
-// Deprecated: use Open, Engine.AdoptIndex and Engine.Select — the Engine
-// keeps the index resident across calls and adds the memoized gain read
-// path on top. This shim routes through a throwaway default Engine that
-// adopts ix; selections are bit-for-bit unchanged.
-func SelectWithIndex(ix *Index, p Problem, k int, lazy bool) (*Selection, error) {
-	return defaultEngineSelectWithIndex(ix, p, k, lazy, 0)
-}
-
-// SelectWithIndexWorkers is SelectWithIndex with an explicit worker count
-// for the selection loop (0 means all available cores). Selections are
-// bit-for-bit identical for every worker count.
-//
-// Deprecated: use Open, Engine.AdoptIndex and Engine.Select with
-// SelectRequest.Workers; see SelectWithIndex.
-func SelectWithIndexWorkers(ix *Index, p Problem, k int, lazy bool, workers int) (*Selection, error) {
-	return defaultEngineSelectWithIndex(ix, p, k, lazy, workers)
-}
 
 // BuildIndexParallel is BuildIndex sharded over the given number of
 // goroutines. The materialized walks are identical for every worker count
