@@ -1,6 +1,7 @@
 // Package client is the typed Go SDK for the rwdomd random-walk-domination
-// daemon: request/response structs mirroring the v1 wire contract, typed
-// errors carrying the daemon's stable machine-readable codes, automatic
+// daemon. Its request and reply structs are the v1 wire contract: the daemon
+// serializes these same types, so client and server cannot drift. It adds
+// typed errors carrying the daemon's stable machine-readable codes, automatic
 // retry when the daemon is draining, and a streaming iterator for selects.
 //
 //	c, err := client.New("http://localhost:7474")
@@ -99,14 +100,6 @@ func CodeOf(err error) string {
 		return ce.Code
 	}
 	return CodeInternal
-}
-
-// envelope is the daemon's JSON error shape.
-type envelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
 }
 
 // Client talks to one rwdomd base URL. It is safe for concurrent use.
@@ -214,7 +207,7 @@ func decodeError(resp *http.Response) *Error {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	e := &Error{HTTPStatus: resp.StatusCode}
-	var env envelope
+	var env ErrorResponse
 	if err := json.Unmarshal(raw, &env); err == nil && env.Error.Code != "" {
 		e.Code, e.Message = env.Error.Code, env.Error.Message
 	} else {

@@ -32,20 +32,14 @@ type SelectStream struct {
 	done   bool
 }
 
-// streamLine is the union of the three NDJSON line shapes.
+// streamLine is the union of the three NDJSON line shapes: a Round (Node
+// is a pointer here so a round line can be told from the others), a
+// StreamDone, or an ErrorResponse.
 type streamLine struct {
-	Round      int             `json:"round"`
-	Node       *int            `json:"node"`
-	Gain       float64         `json:"gain"`
-	Objective  float64         `json:"objective"`
-	CIWidth    float64         `json:"ci_width"`
-	Replicates int             `json:"replicates"`
-	Done       bool            `json:"done"`
-	Result     *SelectResponse `json:"result"`
-	Error      *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+	Round
+	Node *int `json:"node"`
+	StreamDone
+	Error *ErrorBody `json:"error"`
 }
 
 // SelectStream starts a streamed selection. Drain responses are retried
@@ -97,11 +91,15 @@ func (s *SelectStream) Next() bool {
 			s.done = true
 			return false
 		case ev.Done:
-			s.result = ev.Result
 			s.done = true
+			s.result = ev.Result
+			if s.result == nil {
+				s.err = &Error{Code: CodeInternal, Message: "select stream finished without a result", HTTPStatus: http.StatusOK}
+			}
 			return false
 		case ev.Node != nil:
-			s.cur = Round{Round: ev.Round, Node: *ev.Node, Gain: ev.Gain, Objective: ev.Objective, CIWidth: ev.CIWidth, Replicates: ev.Replicates}
+			s.cur = ev.Round
+			s.cur.Node = *ev.Node
 			return true
 		}
 	}
@@ -118,8 +116,9 @@ func (s *SelectStream) Next() bool {
 func (s *SelectStream) Round() Round { return s.cur }
 
 // Result returns the final blocking-shape reply once Next has returned
-// false, or the terminal error (a mid-stream *Error, a transport failure,
-// or io.ErrUnexpectedEOF for a truncated stream).
+// false, or the terminal error (a mid-stream *Error, a CodeInternal *Error
+// when the final line carries no result, a transport failure, or
+// io.ErrUnexpectedEOF for a truncated stream).
 func (s *SelectStream) Result() (*SelectResponse, error) {
 	if s.err != nil {
 		return nil, s.err

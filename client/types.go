@@ -1,10 +1,10 @@
 package client
 
-// Wire types mirroring the rwdomd v1 HTTP contract (which in turn mirrors
-// the engine's request/response types). The client package deliberately
-// depends only on the wire format — it compiles against any rwdomd of the
-// same v1 contract, and the golden-file suite in internal/server pins that
-// contract.
+// The types in this file are the rwdomd v1 HTTP contract: the daemon
+// (internal/server) encodes and decodes these structs directly, so there is
+// one definition of every request and reply body. The package itself
+// depends only on the standard library, and the golden-file suite in
+// internal/server pins the serialized form.
 
 // Problem names accepted by the daemon; numeric forms "1"/"2" also work.
 const (
@@ -37,7 +37,9 @@ type SelectRequest struct {
 	// Workers shards index construction and gain evaluation (0 = server
 	// default). Selections are identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// TimeoutMS bounds the request (0 = server default).
+	// TimeoutMS bounds the request (0 = server default). A request whose
+	// budget expires during an index build gets its 504 at once while the
+	// build carries on and still warms the daemon's cache.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Epsilon > 0 enables the adaptive replicate budget: R becomes a cap and
 	// each greedy round stops sampling once the leader's separation
@@ -79,8 +81,11 @@ type SelectResponse struct {
 	Evaluations int       `json:"evaluations"`
 	BuildMS     float64   `json:"build_ms"`
 	SelectMS    float64   `json:"select_ms"`
-	IndexCached bool      `json:"index_cached"`
-	Coalesced   bool      `json:"coalesced"`
+	// IndexCached reports that the walk index was already resident (or
+	// loaded from spill) rather than built for this request; Coalesced that
+	// the whole selection was shared with an identical concurrent request.
+	IndexCached bool `json:"index_cached"`
+	Coalesced   bool `json:"coalesced"`
 	// Accuracy carries the adaptive-budget evidence; nil on fixed-R runs.
 	Accuracy *Accuracy `json:"accuracy,omitempty"`
 }
@@ -96,6 +101,27 @@ type Round struct {
 	Objective  float64 `json:"objective"`
 	CIWidth    float64 `json:"ci_width,omitempty"`
 	Replicates int     `json:"replicates,omitempty"`
+}
+
+// StreamDone is the final line of a successful POST /v1/select?stream=1:
+// Result is the blocking-mode reply.
+type StreamDone struct {
+	Done   bool            `json:"done"`
+	Result *SelectResponse `json:"result"`
+}
+
+// ErrorResponse is the error envelope every endpoint shares,
+// {"error":{"code":"...","message":"..."}}; a failing select stream ends
+// with one as its last line.
+type ErrorResponse struct {
+	Error ErrorBody `json:"error"`
+}
+
+// ErrorBody is the envelope's payload: a stable Code* constant plus a
+// human-readable message.
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // GainRequest identifies a GET /v1/gain query.
@@ -192,7 +218,8 @@ type ApplyDeltaRequest struct {
 	// body.
 	Graph string `json:"-"`
 	// AddNodes appends this many fresh isolated nodes (ids n .. n+AddNodes-1)
-	// before edges are applied, so added edges may reference them.
+	// before edges are applied, so added edges may reference them. The
+	// daemon accepts at most 2^20 per delta (CodeBadRequest above that).
 	AddNodes int `json:"add_nodes,omitempty"`
 	// Add lists edges to insert; adding an existing edge is a conflict.
 	Add []Edge `json:"add,omitempty"`
@@ -314,7 +341,7 @@ type Health struct {
 	Graphs  int     `json:"graphs"`
 }
 
-// CacheStats mirrors the /stats "cache" block. SpillLoadErrors counts spill
+// CacheStats is the /stats "cache" block. SpillLoadErrors counts spill
 // files that existed but failed to load (truncated or corrupt on disk) and
 // were rebuilt from scratch instead; SpillSaveErrors counts spill saves that
 // failed.
@@ -335,7 +362,7 @@ type CacheStats struct {
 	Keys            []string `json:"keys"`
 }
 
-// StorageStats mirrors the /stats "storage" block: the daemon's spill
+// StorageStats is the /stats "storage" block: the daemon's spill
 // storage subsystem — the configured on-disk format, whether v8 spill loads
 // serve store-backed off mmap'd pages, and the aggregate mapping/decode
 // counters of resident store-backed indexes.
@@ -350,7 +377,7 @@ type StorageStats struct {
 	PageInRestarts int64  `json:"page_in_restarts"`
 }
 
-// MemoStats mirrors the /stats "memo" block.
+// MemoStats is the /stats "memo" block.
 type MemoStats struct {
 	Enabled        bool  `json:"enabled"`
 	Hits           int64 `json:"hits"`
@@ -366,7 +393,7 @@ type MemoStats struct {
 	ResidentBytes  int64 `json:"resident_bytes"`
 }
 
-// AdmissionStats mirrors the /stats "admission" block: the daemon's
+// AdmissionStats is the /stats "admission" block: the daemon's
 // admission gate (slots, queue bound, traffic counters). Every 503
 // "overloaded" reply corresponds to exactly one Shed tick.
 type AdmissionStats struct {
@@ -381,7 +408,7 @@ type AdmissionStats struct {
 	QueueWaitNS   int64 `json:"queue_wait_ns"`
 }
 
-// ShardConnStats mirrors one worker's entry in the /stats "shards" block.
+// ShardConnStats is one worker's entry in the /stats "shards" block.
 type ShardConnStats struct {
 	Addr     string `json:"addr"`
 	Requests int64  `json:"requests"`
@@ -389,7 +416,7 @@ type ShardConnStats struct {
 	Retries  int64  `json:"retries"`
 }
 
-// ShardsStats mirrors the /stats "shards" block of a coordinator-mode
+// ShardsStats is the /stats "shards" block of a coordinator-mode
 // daemon: per-shard scatter traffic, coordinator retries, and the
 // scatter-gather merge latency histogram (the quantiles are bucket upper
 // bounds in milliseconds).
@@ -402,16 +429,33 @@ type ShardsStats struct {
 	PerShard       []ShardConnStats `json:"per_shard"`
 }
 
-// LatencySnapshot mirrors a /stats latency histogram summary.
+// LatencySnapshot is a /stats latency histogram summary. Quantiles are
+// bucket upper bounds in milliseconds; -1 means the quantile fell in the
+// +Inf overflow bucket. Buckets is present only when asked for
+// (/stats?buckets=1, the daemon's default).
 type LatencySnapshot struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	Count   int64           `json:"count"`
+	MeanMS  float64         `json:"mean_ms"`
+	P50MS   float64         `json:"p50_ms"`
+	P95MS   float64         `json:"p95_ms"`
+	P99MS   float64         `json:"p99_ms"`
+	Buckets []LatencyBucket `json:"buckets,omitempty"`
 }
 
-// AccuracyStats mirrors the /stats "accuracy" block: adaptive
+// LatencyBucket is one cumulative ("le") histogram bucket.
+type LatencyBucket struct {
+	LeMS  float64 `json:"le_ms"` // upper bound in milliseconds; -1 means +Inf
+	Count int64   `json:"count"` // cumulative count of observations <= LeMS
+}
+
+// EndpointStats is one route's entry in the /stats "endpoints" block.
+type EndpointStats struct {
+	Requests int64           `json:"requests"`
+	Errors   int64           `json:"errors"`
+	Latency  LatencySnapshot `json:"latency"`
+}
+
+// AccuracyStats is the /stats "accuracy" block: adaptive
 // (epsilon-targeted) selection traffic. CIWidthHist buckets each completed
 // run's achieved CIWidth/epsilon ratio into [0,0.25), [0.25,0.5), [0.5,0.75),
 // [0.75,1], and >1 (the run hit the R cap before reaching epsilon).
@@ -422,22 +466,22 @@ type AccuracyStats struct {
 	CIWidthHist     []int64 `json:"ci_width_hist"`
 }
 
-// Stats is the /stats reply (endpoint latency histograms are left to raw
-// consumers; see the daemon's /stats documentation). Degraded counts read
-// answers served from frozen memo tables while the walk index was
-// unavailable. Shards is present only on coordinator-mode daemons; Accuracy
-// only once an adaptive selection has run; Storage only when the daemon has
-// a spill directory.
+// Stats is the /stats reply. Endpoints maps each route name to its traffic
+// and latency histogram. Degraded counts read answers served from frozen
+// memo tables while the walk index was unavailable. Shards is present only
+// on coordinator-mode daemons; Accuracy only once an adaptive selection has
+// run; Storage only when the daemon has a spill directory.
 type Stats struct {
-	UptimeS          float64        `json:"uptime_s"`
-	Draining         bool           `json:"draining"`
-	InFlight         int64          `json:"in_flight"`
-	SelectsCoalesced int64          `json:"selects_coalesced"`
-	Degraded         int64          `json:"degraded"`
-	Admission        AdmissionStats `json:"admission"`
-	Cache            CacheStats     `json:"cache"`
-	Memo             MemoStats      `json:"memo"`
-	Accuracy         *AccuracyStats `json:"accuracy,omitempty"`
-	Shards           *ShardsStats   `json:"shards,omitempty"`
-	Storage          *StorageStats  `json:"storage,omitempty"`
+	UptimeS          float64                  `json:"uptime_s"`
+	Draining         bool                     `json:"draining"`
+	InFlight         int64                    `json:"in_flight"`
+	SelectsCoalesced int64                    `json:"selects_coalesced"`
+	Degraded         int64                    `json:"degraded"`
+	Admission        AdmissionStats           `json:"admission"`
+	Cache            CacheStats               `json:"cache"`
+	Memo             MemoStats                `json:"memo"`
+	Endpoints        map[string]EndpointStats `json:"endpoints"`
+	Accuracy         *AccuracyStats           `json:"accuracy,omitempty"`
+	Shards           *ShardsStats             `json:"shards,omitempty"`
+	Storage          *StorageStats            `json:"storage,omitempty"`
 }

@@ -6,8 +6,9 @@
 // coalesces identical concurrent selections. SIGTERM/SIGINT drain in-flight
 // queries and spill resident indexes to the cache directory so a restart
 // starts warm. Errors share one machine-readable JSON envelope
-// ({"error":{"code","message"}}) on every path; the repro/client package
-// is the typed Go SDK for this daemon.
+// ({"error":{"code","message"}}) on every path. The repro/client package
+// is the typed Go SDK for this daemon, and its request and reply types
+// are the wire contract: the daemon encodes and decodes them directly.
 //
 // Examples:
 //

@@ -98,7 +98,7 @@
 // all workers before returning; a worker that misses a broadcast answers
 // its epoch-pinned scatters with typed ErrStaleEpoch errors, never a
 // silently mixed-epoch merge. The daemon exposes the same operation as
-// POST /v1/graph/{name}/edges, mirrored by client.ApplyDelta.
+// POST /v1/graph/{name}/edges, which client.ApplyDelta calls.
 //
 // # Replicate-sharded serving
 //
@@ -147,9 +147,10 @@
 // GET /healthz plus GET /stats expose liveness, index/memo cache traffic
 // and per-endpoint latency histograms. Every error path shares one JSON
 // envelope {"error":{"code","message"}} with the stable codes above, and
-// the repro/client package is the typed Go SDK over the whole contract —
-// mirrored requests/responses, typed errors, retry while the daemon
-// drains, and a streaming iterator for selects.
+// the repro/client package is the typed Go SDK over the whole contract.
+// Its request and reply types are the contract: the daemon serializes
+// them directly. The SDK adds typed errors, retry while the daemon drains,
+// and a streaming iterator for selects.
 //
 // The gain read path is memoized (this is where the paper's index pays off
 // at serving time — a marginal gain should be a read, not a rebuild):

@@ -226,39 +226,3 @@ func EdgeDomination(g *graph.Graph, S []int, L, R int, seed uint64) (float64, er
 	}
 	return total / float64(R), nil
 }
-
-// GreedyEdgeDomination selects k nodes minimizing the estimated expected
-// pre-hit edge traversal — the natural greedy for the future-work objective.
-// It re-estimates the objective per candidate (no index formulation exists
-// for edge counting), so it is O(k·n·nRL): use small graphs. The walk
-// estimator is re-seeded identically for every evaluation so comparisons
-// between candidates are common-random-number paired.
-func GreedyEdgeDomination(g *graph.Graph, opts Options) (*Selection, error) {
-	if err := opts.validate(g, true); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var s []int
-	oracle := greedy.OracleFuncs(
-		func(u int) float64 {
-			cand := append(append([]int(nil), s...), u)
-			v, err := EdgeDomination(g, cand, opts.L, opts.R, opts.Seed)
-			if err != nil {
-				return 0
-			}
-			return -v // minimize traversal = maximize its negation
-		},
-		func(u int) { s = append(s, u) },
-	)
-	res, err := greedy.Run(context.Background(), g.N(), opts.K, oracle, greedy.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Selection{
-		Algorithm:   "GreedyEdgeDomination",
-		Nodes:       res.Selected,
-		Gains:       res.Gains,
-		Evaluations: res.Evaluations,
-		SelectTime:  time.Since(start),
-	}, nil
-}

@@ -209,15 +209,3 @@ func TestEdgeDominationValidation(t *testing.T) {
 		t.Error("out-of-range member accepted")
 	}
 }
-
-func TestGreedyEdgeDomination(t *testing.T) {
-	// On a star the hub minimizes pre-hit edge traversal.
-	g, _ := graph.Star(12)
-	sel, err := GreedyEdgeDomination(g, Options{K: 1, L: 4, R: 60, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Nodes[0] != 0 {
-		t.Fatalf("selected %v, want hub 0", sel.Nodes)
-	}
-}

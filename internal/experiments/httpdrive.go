@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/server"
+	"repro/client"
 )
 
 // Shared HTTP drivers for the serving experiments (serving.go,
@@ -42,7 +42,7 @@ func checkResponse(path string, resp *http.Response) error {
 	if resp.StatusCode == http.StatusOK {
 		return nil
 	}
-	var e server.ErrorResponse
+	var e client.ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	return fmt.Errorf("%s: %d %s: %s", path, resp.StatusCode, e.Error.Code, e.Error.Message)
 }

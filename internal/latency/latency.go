@@ -7,6 +7,8 @@ package latency
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/client"
 )
 
 // numBounds must match len(bounds); the histogram array needs a constant
@@ -53,34 +55,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(int64(d))
 }
 
-// Bucket is one cumulative ("le") histogram bucket in /stats output.
-type Bucket struct {
-	LeMS  float64 `json:"le_ms"` // upper bound in milliseconds; -1 means +Inf
-	Count int64   `json:"count"` // cumulative count of observations <= LeMS
-}
-
-// Snapshot is the JSON form of a histogram. Quantiles are bucket upper
-// bounds in milliseconds; -1 means the quantile fell in the +Inf overflow
-// bucket. Buckets is present only when asked for.
-type Snapshot struct {
-	Count   int64    `json:"count"`
-	MeanMS  float64  `json:"mean_ms"`
-	P50MS   float64  `json:"p50_ms"`
-	P95MS   float64  `json:"p95_ms"`
-	P99MS   float64  `json:"p99_ms"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// Snapshot summarizes the observations so far, with the cumulative
-// buckets when withBuckets is set.
-func (h *Histogram) Snapshot(withBuckets bool) Snapshot {
+// Snapshot summarizes the observations so far in their /stats form, with
+// the cumulative buckets when withBuckets is set.
+func (h *Histogram) Snapshot(withBuckets bool) client.LatencySnapshot {
 	cum := make([]int64, len(h.counts))
 	var total int64
 	for i := range h.counts {
 		total += h.counts[i].Load()
 		cum[i] = total
 	}
-	s := Snapshot{
+	s := client.LatencySnapshot{
 		Count: total,
 		P50MS: quantileUpperBound(cum, total, 0.50),
 		P95MS: quantileUpperBound(cum, total, 0.95),
@@ -90,13 +74,13 @@ func (h *Histogram) Snapshot(withBuckets bool) Snapshot {
 		s.MeanMS = float64(h.sumNS.Load()) / float64(total) / float64(time.Millisecond)
 	}
 	if withBuckets {
-		s.Buckets = make([]Bucket, 0, len(cum))
+		s.Buckets = make([]client.LatencyBucket, 0, len(cum))
 		for i, c := range cum {
 			le := -1.0
 			if i < len(bounds) {
 				le = float64(bounds[i]) / float64(time.Millisecond)
 			}
-			s.Buckets = append(s.Buckets, Bucket{LeMS: le, Count: c})
+			s.Buckets = append(s.Buckets, client.LatencyBucket{LeMS: le, Count: c})
 		}
 	}
 	return s

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/index"
 )
@@ -15,20 +16,6 @@ import (
 // ---------------------------------------------------------------------------
 // JSON plumbing: one error envelope for every path
 // ---------------------------------------------------------------------------
-
-// ErrorBody is the machine-readable error payload: a stable code
-// (engine.Code) plus a human-readable message.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// ErrorResponse is the JSON error envelope every endpoint shares:
-// {"error":{"code":"...","message":"..."}}. The client package decodes the
-// same shape into typed errors.
-type ErrorResponse struct {
-	Error ErrorBody `json:"error"`
-}
 
 // Memo status constants re-exported for the parity tests and handlers.
 const (
@@ -49,7 +36,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeErrorCode writes the envelope for an explicit code.
 func writeErrorCode(w http.ResponseWriter, code engine.Code, message string) {
-	writeJSON(w, engine.HTTPStatus(code), ErrorResponse{Error: ErrorBody{Code: string(code), Message: message}})
+	writeJSON(w, engine.HTTPStatus(code), client.ErrorResponse{Error: client.ErrorBody{Code: string(code), Message: message}})
 }
 
 // writeEngineError maps any engine method error onto the envelope: the
@@ -82,7 +69,7 @@ func parseProblem(s string) (index.Problem, error) {
 }
 
 // problemJSON lets /v1/select bodies write "problem": 2 or "problem":
-// "coverage" interchangeably.
+// "coverage" interchangeably (see selectBody).
 type problemJSON struct{ p index.Problem }
 
 func (p *problemJSON) UnmarshalJSON(b []byte) error {
@@ -136,88 +123,21 @@ func durationMS(d time.Duration) float64 {
 // POST /v1/select
 // ---------------------------------------------------------------------------
 
-// SelectRequest is the /v1/select body.
-type SelectRequest struct {
-	// Graph names one of the graphs the daemon was started with.
-	Graph string `json:"graph"`
-	// Problem is 1/"hitting" or 2/"coverage" (default 2).
+// selectBody decodes the /v1/select body: client.SelectRequest with its
+// Problem shadowed so a number is accepted as well as a name.
+type selectBody struct {
+	client.SelectRequest
 	Problem problemJSON `json:"problem"`
-	// K is the selection budget.
-	K int `json:"k"`
-	// L is the walk-length bound; R the per-node sample size (default 100).
-	L int `json:"L"`
-	R int `json:"R"`
-	// Seed fixes the walk sampling (default 1); part of the index identity.
-	Seed *uint64 `json:"seed"`
-	// Algorithm picks the greedy driver: "lazy" (CELF, the default) or
-	// "plain". Both shard gain evaluations over Workers goroutines.
-	Algorithm string `json:"algorithm"`
-	// Workers shards index construction and gain evaluation (0 = server
-	// default; capped at the server max). Selections are identical for
-	// every value.
-	Workers int `json:"workers"`
-	// TimeoutMS bounds the request (0 = server default). A request whose
-	// budget expires during an index build gets its 504 immediately while
-	// the build detaches and still warms the cache; an expired selection
-	// loop is canceled outright.
-	TimeoutMS int `json:"timeout_ms"`
-	// Epsilon > 0 enables the adaptive replicate budget: R becomes a cap and
-	// each round stops sampling once the leader's separation interval beats
-	// epsilon at confidence delta (default 0.05, or the daemon's -delta).
-	// Zero inherits the daemon default (-epsilon, off unless set). Rejected
-	// with 501 "unsupported" on sharded deployments.
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-}
-
-// AccuracyJSON is the adaptive-budget evidence block of a select reply,
-// present only when the run had an epsilon target.
-type AccuracyJSON struct {
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-	// CIWidth is the largest per-round separation half-width among the
-	// committed rounds; CIWidth <= epsilon certifies every round met the
-	// target. ReplicatesUsed is the final materialized replicate width (<= R),
-	// ChunksBuilt the index chunks materialized, EarlyStopped whether the run
-	// finished below the R cap.
-	CIWidth        float64 `json:"ci_width"`
-	ReplicatesUsed int     `json:"replicates_used"`
-	ChunksBuilt    int     `json:"chunks_built"`
-	EarlyStopped   bool    `json:"early_stopped"`
-}
-
-// SelectResponse is the /v1/select reply.
-type SelectResponse struct {
-	Graph       string    `json:"graph"`
-	Problem     string    `json:"problem"`
-	K           int       `json:"k"`
-	L           int       `json:"L"`
-	R           int       `json:"R"`
-	Seed        uint64    `json:"seed"`
-	Algorithm   string    `json:"algorithm"`
-	Workers     int       `json:"workers"`
-	Nodes       []int     `json:"nodes"`
-	Gains       []float64 `json:"gains"`
-	Objective   float64   `json:"objective"`
-	Evaluations int       `json:"evaluations"`
-	BuildMS     float64   `json:"build_ms"`
-	SelectMS    float64   `json:"select_ms"`
-	// IndexCached reports that the walk index was already materialized (or
-	// loaded from spill) rather than built for this request; Coalesced that
-	// the whole selection was shared with an identical concurrent request.
-	IndexCached bool `json:"index_cached"`
-	Coalesced   bool `json:"coalesced"`
-	// Accuracy carries the adaptive-budget evidence; omitted on fixed-R runs.
-	Accuracy *AccuracyJSON `json:"accuracy,omitempty"`
 }
 
 // decodeSelect parses and translates the body into the engine request
 // (the daemon's seed default of 1 is applied into ereq.Seed).
-func decodeSelect(r *http.Request, w http.ResponseWriter) (req SelectRequest, ereq engine.SelectRequest, err error) {
+func decodeSelect(r *http.Request, w http.ResponseWriter) (ereq engine.SelectRequest, err error) {
+	var req selectBody
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return req, ereq, fmt.Errorf("bad request body: %w", err)
+		return ereq, fmt.Errorf("bad request body: %w", err)
 	}
 	seed := uint64(1)
 	if req.Seed != nil {
@@ -229,9 +149,9 @@ func decodeSelect(r *http.Request, w http.ResponseWriter) (req SelectRequest, er
 	case "plain":
 		strategy = engine.Plain
 	default:
-		return req, ereq, fmt.Errorf("unknown algorithm %q (want lazy or plain)", req.Algorithm)
+		return ereq, fmt.Errorf("unknown algorithm %q (want lazy or plain)", req.Algorithm)
 	}
-	ereq = engine.SelectRequest{
+	return engine.SelectRequest{
 		Graph:    req.Graph,
 		Problem:  req.Problem.problem(),
 		K:        req.K,
@@ -243,15 +163,14 @@ func decodeSelect(r *http.Request, w http.ResponseWriter) (req SelectRequest, er
 		Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
 		Epsilon:  req.Epsilon,
 		Delta:    req.Delta,
-	}
-	return req, ereq, nil
+	}, nil
 }
 
 // encodeSelect builds the wire reply from the engine result.
-func encodeSelect(req SelectRequest, ereq engine.SelectRequest, res *engine.SelectResult) SelectResponse {
-	var acc *AccuracyJSON
+func encodeSelect(ereq engine.SelectRequest, res *engine.SelectResult) client.SelectResponse {
+	var acc *client.Accuracy
 	if res.Epsilon > 0 {
-		acc = &AccuracyJSON{
+		acc = &client.Accuracy{
 			Epsilon:        res.Epsilon,
 			Delta:          res.Delta,
 			CIWidth:        res.CIWidth,
@@ -260,11 +179,11 @@ func encodeSelect(req SelectRequest, ereq engine.SelectRequest, res *engine.Sele
 			EarlyStopped:   res.EarlyStopped,
 		}
 	}
-	return SelectResponse{
+	return client.SelectResponse{
 		Accuracy:    acc,
-		Graph:       req.Graph,
+		Graph:       ereq.Graph,
 		Problem:     ereq.Problem.String(),
-		K:           req.K,
+		K:           ereq.K,
 		L:           res.L,
 		R:           res.R,
 		Seed:        ereq.Seed,
@@ -282,23 +201,23 @@ func encodeSelect(req SelectRequest, ereq engine.SelectRequest, res *engine.Sele
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	req, ereq, err := decodeSelect(r, w)
+	ereq, err := decodeSelect(r, w)
 	if err != nil {
 		writeBadRequest(w, err)
 		return
 	}
 	// The HTTP contract is stricter than the engine's (which allows the
 	// degenerate k = 0 and L = 0 for embedded use): both must be >= 1 here.
-	if req.K < 1 || req.K > s.cfg.MaxK {
-		writeBadRequest(w, fmt.Errorf("k=%d outside [1, %d]", req.K, s.cfg.MaxK))
+	if ereq.K < 1 || ereq.K > s.cfg.MaxK {
+		writeBadRequest(w, fmt.Errorf("k=%d outside [1, %d]", ereq.K, s.cfg.MaxK))
 		return
 	}
-	if req.L < 1 {
-		writeBadRequest(w, fmt.Errorf("L=%d outside [1, %d]", req.L, 1<<16-1))
+	if ereq.L < 1 {
+		writeBadRequest(w, fmt.Errorf("L=%d outside [1, %d]", ereq.L, 1<<16-1))
 		return
 	}
 	if streaming(r) {
-		s.handleSelectStream(w, r, req, ereq)
+		s.handleSelectStream(w, r, ereq)
 		return
 	}
 	res, err := s.q.Select(r.Context(), ereq)
@@ -306,37 +225,21 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, encodeSelect(req, ereq, res))
+	writeJSON(w, http.StatusOK, encodeSelect(ereq, res))
 }
 
 // ---------------------------------------------------------------------------
 // GET /v1/gain
 // ---------------------------------------------------------------------------
 
-// GainResponse is the /v1/gain reply: Gains[i] is the marginal gain of
-// adding Nodes[i] to the current set.
-//
-// Cost note: the read path is memoized, so the n·R D-table for a seed set
-// is materialized at most once (reusing the longest cached prefix of the
-// set when one is resident) and every later request for the same set is a
-// pure read of the frozen table; empty-set requests are answered from the
-// index's memoized empty-set gain vector with no D-table work at all. Memo
-// reports which of those paths served this request (see the engine.Memo*
-// constants); "off" means the daemon runs with memoization disabled and
-// paid a fresh table replay.
-type GainResponse struct {
-	Graph       string    `json:"graph"`
-	Problem     string    `json:"problem"`
-	Set         []int     `json:"set"`
-	Nodes       []int     `json:"nodes"`
-	Gains       []float64 `json:"gains"`
-	IndexCached bool      `json:"index_cached"`
-	Memo        string    `json:"memo"`
-	// Degraded marks an answer served from an already-memoized table while
-	// the walk index itself was unavailable (build shed by admission control
-	// or failed); the values are exact, but a cold set would have errored.
-	Degraded bool `json:"degraded,omitempty"`
-}
+// The read endpoints below are memoized: the n·R D-table for a seed set is
+// materialized at most once (reusing the longest cached prefix of the set
+// when one is resident) and every later request for the same set is a pure
+// read of the frozen table; empty-set requests are answered from the
+// index's memoized empty-set gain vector with no D-table work at all. The
+// reply's memo field reports which of those paths served the request (see
+// the engine.Memo* constants); "off" means the daemon runs with memoization
+// disabled and paid a fresh table replay.
 
 // queryParams parses the common graph/L/R/seed/problem/set query parameters
 // of the GET endpoints.
@@ -415,7 +318,7 @@ func (s *Server) handleGain(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, GainResponse{
+	writeJSON(w, http.StatusOK, client.GainResponse{
 		Graph:       qp.graph,
 		Problem:     qp.problem.String(),
 		Set:         qp.set,
@@ -430,17 +333,6 @@ func (s *Server) handleGain(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // GET /v1/objective
 // ---------------------------------------------------------------------------
-
-// ObjectiveResponse is the /v1/objective reply.
-type ObjectiveResponse struct {
-	Graph       string  `json:"graph"`
-	Problem     string  `json:"problem"`
-	Set         []int   `json:"set"`
-	Objective   float64 `json:"objective"`
-	IndexCached bool    `json:"index_cached"`
-	Memo        string  `json:"memo"`
-	Degraded    bool    `json:"degraded,omitempty"`
-}
 
 func (s *Server) handleObjective(w http.ResponseWriter, r *http.Request) {
 	qp, err := parseQueryParams(r)
@@ -460,7 +352,7 @@ func (s *Server) handleObjective(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ObjectiveResponse{
+	writeJSON(w, http.StatusOK, client.ObjectiveResponse{
 		Graph:       qp.graph,
 		Problem:     qp.problem.String(),
 		Set:         qp.set,
@@ -474,21 +366,6 @@ func (s *Server) handleObjective(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // GET /v1/topgains
 // ---------------------------------------------------------------------------
-
-// TopGainsResponse is the /v1/topgains reply: the B best candidates by
-// marginal gain against the given seed set (set members excluded), gain
-// descending with ties broken by ascending node id.
-type TopGainsResponse struct {
-	Graph       string    `json:"graph"`
-	Problem     string    `json:"problem"`
-	Set         []int     `json:"set"`
-	B           int       `json:"b"`
-	Nodes       []int     `json:"nodes"`
-	Gains       []float64 `json:"gains"`
-	IndexCached bool      `json:"index_cached"`
-	Memo        string    `json:"memo"`
-	Degraded    bool      `json:"degraded,omitempty"`
-}
 
 func (s *Server) handleTopGains(w http.ResponseWriter, r *http.Request) {
 	qp, err := parseQueryParams(r)
@@ -532,7 +409,7 @@ func (s *Server) handleTopGains(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TopGainsResponse{
+	writeJSON(w, http.StatusOK, client.TopGainsResponse{
 		Graph:       qp.graph,
 		Problem:     qp.problem.String(),
 		Set:         qp.set,
@@ -549,15 +426,8 @@ func (s *Server) handleTopGains(w http.ResponseWriter, r *http.Request) {
 // GET /healthz and GET /stats
 // ---------------------------------------------------------------------------
 
-// HealthResponse is the /healthz reply.
-type HealthResponse struct {
-	Status  string  `json:"status"` // "ok" or "draining"
-	UptimeS float64 `json:"uptime_s"`
-	Graphs  int     `json:"graphs"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
+	resp := client.Health{
 		Status:  "ok",
 		UptimeS: time.Since(s.start).Seconds(),
 		Graphs:  len(s.cfg.Graphs),
@@ -570,104 +440,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// MemoStatsJSON mirrors engine.MemoStats for /stats, plus whether the
-// memoized read path is enabled at all.
-type MemoStatsJSON struct {
-	Enabled        bool  `json:"enabled"`
-	Hits           int64 `json:"hits"`
-	Coalesced      int64 `json:"coalesced_populates"`
-	Misses         int64 `json:"misses"`
-	PrefixExtended int64 `json:"prefix_extended"`
-	EmptyHits      int64 `json:"empty_hits"`
-	TopGainsHits   int64 `json:"topgains_hits"`
-	Evictions      int64 `json:"evictions"`
-	Invalidated    int64 `json:"invalidated"`
-	PopulateErrors int64 `json:"populate_errors"`
-	Resident       int   `json:"resident"`
-	ResidentBytes  int64 `json:"resident_bytes"`
-}
-
-// CacheStatsJSON mirrors index.CacheStats for /stats.
-type CacheStatsJSON struct {
-	Hits            int64    `json:"hits"`
-	Coalesced       int64    `json:"coalesced_builds"`
-	Misses          int64    `json:"misses"`
-	SpillLoads      int64    `json:"spill_loads"`
-	SpillSaves      int64    `json:"spill_saves"`
-	SpillLoadErrors int64    `json:"spill_load_errors"`
-	SpillSaveErrors int64    `json:"spill_save_errors"`
-	SpillSkipped    int64    `json:"spill_skipped"`
-	MmapLoads       int64    `json:"mmap_loads"`
-	Evictions       int64    `json:"evictions"`
-	BuildErrors     int64    `json:"build_errors"`
-	Resident        int      `json:"resident"`
-	ResidentBytes   int64    `json:"resident_bytes"`
-	Keys            []string `json:"keys"`
-}
-
-// StorageStatsJSON mirrors index.StorageStats for /stats: the spill storage
-// subsystem — configured on-disk format, whether v8 loads serve off mmap'd
-// pages, and the aggregate mapping/decode counters of resident store-backed
-// indexes. Present only when the daemon has a spill directory.
-type StorageStatsJSON struct {
-	SpillFormat    string `json:"spill_format"`
-	Mmap           bool   `json:"mmap"`
-	MappedIndexes  int    `json:"mapped_indexes"`
-	MappedBytes    int64  `json:"mapped_bytes"`
-	DecodeHits     int64  `json:"decode_hits"`
-	DecodeMisses   int64  `json:"decode_misses"`
-	DecodeErrors   int64  `json:"decode_errors"`
-	PageInRestarts int64  `json:"page_in_restarts"`
-}
-
-// AdmissionStatsJSON mirrors engine.AdmissionStats for /stats: the admission
-// gate's shape (slots and queue bound) plus its traffic counters. Every 503
-// "overloaded" response corresponds to exactly one Shed tick.
-type AdmissionStatsJSON struct {
-	Enabled       bool  `json:"enabled"`
-	MaxConcurrent int   `json:"max_concurrent"`
-	MaxQueue      int   `json:"max_queue"`
-	Admitted      int64 `json:"admitted"`
-	Shed          int64 `json:"shed"`
-	InFlight      int   `json:"in_flight"`
-	QueueDepth    int   `json:"queue_depth"`
-	QueueWaits    int64 `json:"queue_waits"`
-	QueueWaitNS   int64 `json:"queue_wait_ns"`
-}
-
-// AccuracyStatsJSON mirrors engine.AccuracyStats for /stats: adaptive
-// (epsilon-targeted) selection traffic. CIWidthHist buckets each completed
-// run's achieved CIWidth/epsilon ratio into [0,0.25), [0.25,0.5), [0.5,0.75),
-// [0.75,1], and >1 (the run hit the R cap before reaching epsilon).
-type AccuracyStatsJSON struct {
-	AdaptiveSelects int64   `json:"adaptive_selects"`
-	EarlyStops      int64   `json:"early_stops"`
-	ChunksBuilt     int64   `json:"chunks_built"`
-	CIWidthHist     []int64 `json:"ci_width_hist"`
-}
-
-// StatsResponse is the /stats reply.
-type StatsResponse struct {
-	UptimeS          float64                     `json:"uptime_s"`
-	Draining         bool                        `json:"draining"`
-	InFlight         int64                       `json:"in_flight"`
-	SelectsCoalesced int64                       `json:"selects_coalesced"`
-	Degraded         int64                       `json:"degraded"`
-	Admission        AdmissionStatsJSON          `json:"admission"`
-	Cache            CacheStatsJSON              `json:"cache"`
-	Memo             MemoStatsJSON               `json:"memo"`
-	Endpoints        map[string]EndpointSnapshot `json:"endpoints"`
-	// Accuracy reports adaptive-budget selection counters; present once any
-	// adaptive selection has run on this daemon.
-	Accuracy *AccuracyStatsJSON `json:"accuracy,omitempty"`
-	// Shards reports coordinator-side scatter-gather counters; present only
-	// when this daemon fronts shards (-shards or -peer).
-	Shards *ShardsStatsJSON `json:"shards,omitempty"`
-	// Storage reports the spill storage subsystem (format, mmap serving,
-	// decode counters); present only when a spill directory is configured.
-	Storage *StorageStatsJSON `json:"storage,omitempty"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	withBuckets := r.URL.Query().Get("buckets") != "0"
 	es := s.engine.Stats()
@@ -676,13 +448,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for i, k := range keys {
 		keyStrings[i] = k.String()
 	}
-	endpoints := make(map[string]EndpointSnapshot, len(s.endpoints))
+	endpoints := make(map[string]client.EndpointStats, len(s.endpoints))
 	for name, m := range s.endpoints {
 		endpoints[name] = m.Snapshot(withBuckets)
 	}
-	var memo MemoStatsJSON
+	var memo client.MemoStats
 	if es.MemoEnabled {
-		memo = MemoStatsJSON{
+		memo = client.MemoStats{
 			Enabled:        true,
 			Hits:           es.Memo.Hits,
 			Coalesced:      es.Memo.Coalesced,
@@ -697,18 +469,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ResidentBytes:  es.Memo.ResidentBytes,
 		}
 	}
-	var accuracy *AccuracyStatsJSON
+	var accuracy *client.AccuracyStats
 	if es.Accuracy.AdaptiveSelects > 0 {
-		accuracy = &AccuracyStatsJSON{
+		accuracy = &client.AccuracyStats{
 			AdaptiveSelects: es.Accuracy.AdaptiveSelects,
 			EarlyStops:      es.Accuracy.EarlyStops,
 			ChunksBuilt:     es.Accuracy.ChunksBuilt,
 			CIWidthHist:     es.Accuracy.CIWidthHist[:],
 		}
 	}
-	var storage *StorageStatsJSON
+	var storage *client.StorageStats
 	if s.cfg.SpillDir != "" {
-		storage = &StorageStatsJSON{
+		storage = &client.StorageStats{
 			SpillFormat:    es.Storage.SpillFormat,
 			Mmap:           es.Storage.Mmap,
 			MappedIndexes:  es.Storage.MappedIndexes,
@@ -719,7 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PageInRestarts: es.Storage.PageInRestarts,
 		}
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	writeJSON(w, http.StatusOK, client.Stats{
 		Shards:           s.shardsStats(),
 		Accuracy:         accuracy,
 		Storage:          storage,
@@ -728,7 +500,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		InFlight:         s.inFlight.Load(),
 		SelectsCoalesced: es.SelectsCoalesced,
 		Degraded:         es.Degraded,
-		Admission: AdmissionStatsJSON{
+		Admission: client.AdmissionStats{
 			Enabled:       es.Admission.Enabled,
 			MaxConcurrent: es.Admission.MaxConcurrent,
 			MaxQueue:      es.Admission.MaxQueue,
@@ -740,7 +512,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			QueueWaitNS:   es.Admission.QueueWaitNS,
 		},
 		Memo: memo,
-		Cache: CacheStatsJSON{
+		Cache: client.CacheStats{
 			Hits:            es.Cache.Hits,
 			Coalesced:       es.Cache.Coalesced,
 			Misses:          es.Cache.Misses,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/graph"
 )
@@ -18,45 +19,12 @@ import (
 // cluster is at the new epoch, with the laggard worker answering pinned
 // reads stale_epoch until it recovers.
 
-// EdgeJSON is one undirected edge on the wire. W <= 0 means unweighted
-// (weight 1).
-type EdgeJSON struct {
-	U int     `json:"u"`
-	V int     `json:"v"`
-	W float64 `json:"w,omitempty"`
-}
+// maxAddNodes caps one delta's node growth. The new graph's adjacency
+// offsets are allocated up front, so without a cap one short body asking for
+// billions of nodes would exhaust the daemon's memory.
+const maxAddNodes = 1 << 20
 
-// ApplyDeltaRequest is the POST /v1/graph/{name}/edges body.
-type ApplyDeltaRequest struct {
-	// AddNodes appends this many isolated nodes before edges are applied,
-	// so added edges may reference them.
-	AddNodes int `json:"add_nodes,omitempty"`
-	// Add and Remove are the edge changes; at least one of the three delta
-	// fields must be non-empty.
-	Add    []EdgeJSON `json:"add,omitempty"`
-	Remove []EdgeJSON `json:"remove,omitempty"`
-	// BaseEpoch, when present, makes the mutation conditional on the graph
-	// still being at that epoch (409 conflict otherwise).
-	BaseEpoch *uint64 `json:"base_epoch,omitempty"`
-}
-
-// ApplyDeltaResponse is the mutation reply.
-type ApplyDeltaResponse struct {
-	Graph string `json:"graph"`
-	// Epoch is the graph's new mutation epoch; pin it on reads that must
-	// observe this mutation.
-	Epoch   uint64 `json:"epoch"`
-	Nodes   int    `json:"nodes"`
-	Edges   int    `json:"edges"`
-	Touched int    `json:"touched"`
-	// Repair accounting, summed over every applier (this daemon's engine
-	// plus, in sharded mode, all workers).
-	IndexesRepaired int `json:"indexes_repaired"`
-	IndexesDropped  int `json:"indexes_dropped"`
-	MemosDropped    int `json:"memos_dropped"`
-}
-
-func edgesFromJSON(in []EdgeJSON) []graph.Edge {
+func edgesFromJSON(in []client.Edge) []graph.Edge {
 	if len(in) == 0 {
 		return nil
 	}
@@ -69,11 +37,15 @@ func edgesFromJSON(in []EdgeJSON) []graph.Edge {
 
 func (s *Server) handleApplyDelta(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req ApplyDeltaRequest
+	var req client.ApplyDeltaRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeBadRequest(w, fmt.Errorf("bad delta body: %w", err))
+		return
+	}
+	if req.AddNodes > maxAddNodes {
+		writeBadRequest(w, fmt.Errorf("add_nodes=%d above the per-delta cap of %d", req.AddNodes, maxAddNodes))
 		return
 	}
 	ereq := engine.ApplyDeltaRequest{
@@ -100,7 +72,7 @@ func (s *Server) handleApplyDelta(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := ApplyDeltaResponse{
+	resp := client.ApplyDeltaResponse{
 		Graph:           name,
 		Epoch:           res.Epoch,
 		Nodes:           res.Nodes,

@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/client"
 	"repro/internal/engine"
-	"repro/internal/shard"
 )
 
 // The /v1/partial endpoints are the worker side of replicate-sharded
@@ -16,43 +16,6 @@ import (
 // so these endpoints never normalize — their replies are exact int64 sums.
 // They are served from this daemon's own engine even in coordinator mode,
 // so coordinators and workers can be layered freely.
-
-// PartialGainResponse is the /v1/partial/gain reply.
-type PartialGainResponse struct {
-	Graph   string `json:"graph"`
-	Problem string `json:"problem"`
-	R0      int    `json:"r0"`
-	R1      int    `json:"r1"`
-	Set     []int  `json:"set"`
-	Nodes   []int  `json:"nodes"`
-	// Sums[i] is the integer gain sum of Nodes[i] over [r0, r1).
-	Sums []int64 `json:"sums"`
-	// ObjectiveSum is present only when the request asked for it
-	// (objective=1): the integer objective accumulator of Set over the
-	// range.
-	ObjectiveSum *int64 `json:"objective_sum,omitempty"`
-	Replicates   int    `json:"replicates"`
-	IndexCached  bool   `json:"index_cached"`
-	Memo         string `json:"memo"`
-	Degraded     bool   `json:"degraded,omitempty"`
-}
-
-// PartialTopGainsResponse is the /v1/partial/topgains reply, sum descending
-// with ties broken by ascending node id.
-type PartialTopGainsResponse struct {
-	Graph       string  `json:"graph"`
-	Problem     string  `json:"problem"`
-	R0          int     `json:"r0"`
-	R1          int     `json:"r1"`
-	Set         []int   `json:"set"`
-	B           int     `json:"b"`
-	Nodes       []int   `json:"nodes"`
-	Sums        []int64 `json:"sums"`
-	Exhausted   bool    `json:"exhausted"`
-	IndexCached bool    `json:"index_cached"`
-	Memo        string  `json:"memo"`
-	Degraded    bool    `json:"degraded,omitempty"`
-}
 
 // parseEpoch parses the optional epoch pin parameter (see
 // engine.PartialGainRequest.Epoch): nil when absent.
@@ -135,7 +98,7 @@ func (s *Server) handlePartialGain(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := PartialGainResponse{
+	resp := client.PartialGainResponse{
 		Graph:       qp.graph,
 		Problem:     qp.problem.String(),
 		R0:          r0,
@@ -208,7 +171,7 @@ func (s *Server) handlePartialTopGains(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PartialTopGainsResponse{
+	writeJSON(w, http.StatusOK, client.PartialTopGainsResponse{
 		Graph:       qp.graph,
 		Problem:     qp.problem.String(),
 		R0:          r0,
@@ -224,42 +187,23 @@ func (s *Server) handlePartialTopGains(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ShardConnStatsJSON is one worker's entry in the /stats "shards" block.
-type ShardConnStatsJSON struct {
-	Addr     string `json:"addr"`
-	Requests int64  `json:"requests"`
-	Errors   int64  `json:"errors"`
-	Retries  int64  `json:"retries"`
-}
-
-// ShardsStatsJSON mirrors shard.Stats for /stats, present only in
-// coordinator mode.
-type ShardsStatsJSON struct {
-	Shards         int                   `json:"shards"`
-	Merges         int64                 `json:"merges"`
-	DegradedMerges int64                 `json:"degraded_merges"`
-	Retries        int64                 `json:"retries"`
-	MergeLatency   shard.LatencySnapshot `json:"merge_latency"`
-	PerShard       []ShardConnStatsJSON  `json:"per_shard"`
-}
-
 // shardsStats renders the coordinator's counters for /stats (nil when
 // unsharded).
-func (s *Server) shardsStats() *ShardsStatsJSON {
+func (s *Server) shardsStats() *client.ShardsStats {
 	if s.coord == nil {
 		return nil
 	}
 	cs := s.coord.Stats()
-	out := &ShardsStatsJSON{
+	out := &client.ShardsStats{
 		Shards:         cs.Shards,
 		Merges:         cs.Merges,
 		DegradedMerges: cs.DegradedMerges,
 		Retries:        cs.Retries,
 		MergeLatency:   cs.MergeLatency,
-		PerShard:       make([]ShardConnStatsJSON, len(cs.PerShard)),
+		PerShard:       make([]client.ShardConnStats, len(cs.PerShard)),
 	}
 	for i, p := range cs.PerShard {
-		out.PerShard[i] = ShardConnStatsJSON{Addr: p.Addr, Requests: p.Requests, Errors: p.Errors, Retries: p.Retries}
+		out.PerShard[i] = client.ShardConnStats{Addr: p.Addr, Requests: p.Requests, Errors: p.Errors, Retries: p.Retries}
 	}
 	return out
 }

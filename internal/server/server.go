@@ -4,7 +4,9 @@
 // the refcounted LRU index cache, the memoized gain read path, selection
 // coalescing, context plumbing — lives entirely in the engine, so this
 // package owns only what is HTTP: routing, request parsing, the JSON error
-// envelope, per-endpoint metrics, draining, and graceful shutdown.
+// envelope, per-endpoint metrics, draining, and graceful shutdown. Request
+// and reply bodies are the repro/client package's types, encoded and
+// decoded directly, so the SDK and the daemon share one wire schema.
 //
 // Endpoints (all JSON):
 //

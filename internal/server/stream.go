@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"repro/client"
 	"repro/internal/engine"
 )
 
 // This file is the streaming half of POST /v1/select: with ?stream=1 the
-// reply is NDJSON — one SelectStreamRound line per greedy pick, emitted as
-// the engine decides it, then one SelectStreamDone line whose result field
-// is the exact blocking-mode SelectResponse. The emitted rounds reassemble
+// reply is NDJSON — one client.Round line per greedy pick, emitted as the
+// engine decides it, then one client.StreamDone line whose result field is
+// the exact blocking-mode client.SelectResponse. The emitted rounds reassemble
 // bit-for-bit into the blocking selection (the engine guarantees it; the
 // stream parity tests lock it down), so a client can render progress and
 // still end up with the same answer it would have gotten without streaming.
@@ -24,32 +25,11 @@ func streaming(r *http.Request) bool {
 	return false
 }
 
-// SelectStreamRound is one round event line of POST /v1/select?stream=1:
-// the node picked in this greedy round, its marginal gain, and the
-// objective so far (the running telescoped sum of gains).
-type SelectStreamRound struct {
-	Round     int     `json:"round"`
-	Node      int     `json:"node"`
-	Gain      float64 `json:"gain"`
-	Objective float64 `json:"objective"`
-	// CIWidth and Replicates carry the round's accuracy evidence on
-	// adaptive (epsilon-targeted) runs; omitted on fixed-R runs.
-	CIWidth    float64 `json:"ci_width,omitempty"`
-	Replicates int     `json:"replicates,omitempty"`
-}
-
-// SelectStreamDone is the final line of a successful stream; Result is the
-// blocking-mode reply shape.
-type SelectStreamDone struct {
-	Done   bool            `json:"done"`
-	Result *SelectResponse `json:"result"`
-}
-
 // handleSelectStream serves one streamed selection. Errors before the first
 // byte get the normal error envelope and status; once rounds are flowing
 // the status is committed, so a late failure is reported as a terminal
 // NDJSON error-envelope line instead.
-func (s *Server) handleSelectStream(w http.ResponseWriter, r *http.Request, req SelectRequest, ereq engine.SelectRequest) {
+func (s *Server) handleSelectStream(w http.ResponseWriter, r *http.Request, ereq engine.SelectRequest) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -69,7 +49,7 @@ func (s *Server) handleSelectStream(w http.ResponseWriter, r *http.Request, req 
 		return nil
 	}
 	res, err := s.q.SelectStream(r.Context(), ereq, func(rd engine.Round) error {
-		return emit(SelectStreamRound{
+		return emit(client.Round{
 			Round: rd.Round, Node: rd.Node, Gain: rd.Gain, Objective: rd.Objective,
 			CIWidth: rd.CIWidth, Replicates: rd.Replicates,
 		})
@@ -80,9 +60,9 @@ func (s *Server) handleSelectStream(w http.ResponseWriter, r *http.Request, req 
 			return
 		}
 		code := engine.CodeOf(err)
-		_ = emit(ErrorResponse{Error: ErrorBody{Code: string(code), Message: err.Error()}})
+		_ = emit(client.ErrorResponse{Error: client.ErrorBody{Code: string(code), Message: err.Error()}})
 		return
 	}
-	resp := encodeSelect(req, ereq, res)
-	_ = emit(SelectStreamDone{Done: true, Result: &resp})
+	resp := encodeSelect(ereq, res)
+	_ = emit(client.StreamDone{Done: true, Result: &resp})
 }

@@ -3,14 +3,14 @@ package shard
 import (
 	"sync/atomic"
 
-	"repro/internal/latency"
+	"repro/client"
 )
 
 // LatencySnapshot summarizes a latency histogram: quantiles are bucket
 // upper bounds in milliseconds; -1 means the quantile fell in the +Inf
 // overflow bucket. The coordinator never fills Buckets, so merge_latency
 // in /stats carries none.
-type LatencySnapshot = latency.Snapshot
+type LatencySnapshot = client.LatencySnapshot
 
 // connStats tracks one worker connection's scatter traffic.
 type connStats struct {

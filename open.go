@@ -47,8 +47,9 @@ type querier interface {
 	ApplyDelta(context.Context, engine.ApplyDeltaRequest) (*engine.ApplyDeltaResult, error)
 }
 
-// Request/response types, shared verbatim with the engine (and mirrored by
-// the HTTP wire format and the client package). Graph fields may be left
+// Request/response types, shared verbatim with the engine (the HTTP wire
+// format is the client package's types, which the daemon translates these
+// to and from). Graph fields may be left
 // empty: an Engine opened with Open serves exactly one graph.
 type (
 	// SelectRequest asks for a top-K selection; see Engine.Select.
