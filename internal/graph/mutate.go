@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -86,6 +87,11 @@ type rowDelta struct {
 func (g *Graph) ApplyDelta(d Delta) (*Graph, []int, error) {
 	if d.AddNodes < 0 {
 		return nil, nil, fmt.Errorf("graph: AddNodes=%d: %w", d.AddNodes, ErrNegativeN)
+	}
+	// Node ids are stored as int32. Checked before anything is sized by
+	// the new node count, and written so the sum cannot overflow int.
+	if d.AddNodes > math.MaxInt32-g.n {
+		return nil, nil, fmt.Errorf("graph: AddNodes=%d with n=%d exceeds %d nodes: %w", d.AddNodes, g.n, math.MaxInt32, ErrNodeRange)
 	}
 	newN := g.n + d.AddNodes
 

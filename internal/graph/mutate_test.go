@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -144,6 +145,21 @@ func TestApplyDeltaValidation(t *testing.T) {
 	}
 	if g.Fingerprint() != fp || g.Epoch() != 0 {
 		t.Fatal("failed deltas must leave the receiver untouched")
+	}
+}
+
+// TestApplyDeltaRejectsNodeOverflow asserts node growth past the int32 id
+// space fails with ErrNodeRange before anything is allocated for it, also
+// when the new node count would overflow int.
+func TestApplyDeltaRejectsNodeOverflow(t *testing.T) {
+	g := MustFromEdgeList(4, [][2]int{{0, 1}, {1, 2}})
+	for _, add := range []int{1 << 40, math.MaxInt32, math.MaxInt32 - 3, math.MaxInt} {
+		if _, _, err := g.ApplyDelta(Delta{AddNodes: add}); !errors.Is(err, ErrNodeRange) {
+			t.Fatalf("AddNodes=%d: err = %v, want ErrNodeRange", add, err)
+		}
+	}
+	if g.Epoch() != 0 {
+		t.Fatal("rejected deltas must leave the receiver untouched")
 	}
 }
 

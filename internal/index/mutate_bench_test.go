@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // BenchmarkIncrementalRepair measures Repair proper (the graph-side
@@ -17,12 +19,19 @@ import (
 // compact→patched transition. Contrast with BenchmarkIncrementalRepair/
 // rebuild, which pays the full nRL build a repair avoids.
 //
-// The graph is Erdős–Rényi with fixed average degree, where each node is
-// visited by ≈ R·L walks regardless of n, so the affected-walk population
-// per toggled edge is n-independent and the axes isolate the algorithm. (On
-// a scale-free graph, toggling a hub edge is intrinsically expensive: the
-// affected population is every walk that traverses the hub, which grows
-// with the graph — that cost is the workload's, not the repair's.)
+// The delta and graph axes run on Erdős–Rényi graphs of fixed average
+// degree, where each node is visited by ≈ R·L walks regardless of n, so the
+// affected-walk population per toggled edge is n-independent and the axes
+// isolate the algorithm. (On a scale-free graph, toggling a hub edge is
+// intrinsically expensive: the affected population is every walk that
+// traverses the hub, which grows with the graph — that cost is the
+// workload's, not the repair's.)
+//
+// The powerlaw sub-benchmark is that scale-free case at the repository
+// benchmark's mutate-mixed shape: PowerLawExact(5000, 30000, 1), L=6, R=50,
+// and 8 seeded edges absent from the graph toggled in (odd epochs) and out
+// (even epochs), as that workload's deltas are; rebuild/powerlaw is the
+// single-worker build it displaces.
 func BenchmarkIncrementalRepair(b *testing.B) {
 	const L, R, seed = 8, 8, 42
 
@@ -44,17 +53,13 @@ func BenchmarkIncrementalRepair(b *testing.B) {
 		return edges
 	}
 
-	repairLoop := func(b *testing.B, n, k int) {
-		g, err := graph.ErdosRenyi(n, 4*n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+	// repairLoop toggles edges (present in g when present is set) through
+	// ApplyDelta and times the Repair of an L-step, R-replicate index.
+	repairLoop := func(b *testing.B, g *graph.Graph, L, R int, edges []graph.Edge, present bool) {
 		ix, err := Build(g, L, R, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		edges := spreadEdges(g, k)
-		present := true
 		toggle := func() (*graph.Graph, []int) {
 			var d graph.Delta
 			if present {
@@ -86,12 +91,30 @@ func BenchmarkIncrementalRepair(b *testing.B) {
 		}
 	}
 
+	erLoop := func(b *testing.B, n, k int) {
+		g, err := graph.ErdosRenyi(n, 4*n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		repairLoop(b, g, L, R, spreadEdges(g, k), true)
+	}
 	for _, k := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("delta/n=20000/k=%d", k), func(b *testing.B) { repairLoop(b, 20000, k) })
+		b.Run(fmt.Sprintf("delta/n=20000/k=%d", k), func(b *testing.B) { erLoop(b, 20000, k) })
 	}
 	for _, n := range []int{5000, 20000, 80000} {
-		b.Run(fmt.Sprintf("graph/k=8/n=%d", n), func(b *testing.B) { repairLoop(b, n, 8) })
+		b.Run(fmt.Sprintf("graph/k=8/n=%d", n), func(b *testing.B) { erLoop(b, n, 8) })
 	}
+	powerLaw := func(b *testing.B) *graph.Graph {
+		g, err := dataset.PowerLawExact(5000, 30000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	b.Run("powerlaw/n=5000/k=8", func(b *testing.B) {
+		g := powerLaw(b)
+		repairLoop(b, g, 6, 50, absentEdges(g, 8, 7), false)
+	})
 	// The alternative a repair displaces: a from-scratch rebuild at each
 	// graph size (delta-independent).
 	for _, n := range []int{5000, 20000, 80000} {
@@ -108,4 +131,31 @@ func BenchmarkIncrementalRepair(b *testing.B) {
 			}
 		})
 	}
+	b.Run("rebuild/powerlaw/n=5000", func(b *testing.B) {
+		g := powerLaw(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Build(g, 6, 50, seed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// absentEdges draws k distinct node pairs, seeded, that are not edges of g.
+func absentEdges(g *graph.Graph, k int, seed uint64) []graph.Edge {
+	r := rng.New(seed)
+	n := g.N()
+	edges := make([]graph.Edge, 0, k)
+	seen := make(map[[2]int]bool, k)
+	for len(edges) < k {
+		u, v := r.Intn(n), r.Intn(n)
+		key := [2]int{min(u, v), max(u, v)}
+		if u == v || seen[key] || g.HasEdge(u, v) {
+			continue
+		}
+		seen[key] = true
+		edges = append(edges, graph.Edge{U: u, V: v})
+	}
+	return edges
 }

@@ -1,11 +1,13 @@
 package index
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -143,6 +145,150 @@ func TestRepairDirectedAndWeighted(t *testing.T) {
 		_ = applyAndRepair(t, ix, g, graph.Delta{RemoveEdges: []graph.Edge{{U: 0, V: 1}}})
 		assertRebuildParity(t, ix, 1)
 	})
+}
+
+// TestRepairPowerLawLockstep drives the deltas that exercise the lockstep
+// replay's divergence cases on a power-law graph — batches of 8 absent edges
+// added and then removed (the mutate-mixed benchmark's deltas), a hub edge
+// added and removed, an isolated old node gaining its first edge (its old
+// walks dead-end at once) and losing it again, a new node wired to the hub —
+// and asserts parity with a rebuild after every delta, on undirected,
+// directed and weighted variants and a partial replicate range.
+func TestRepairPowerLawLockstep(t *testing.T) {
+	base, err := dataset.PowerLawExact(800, 4800, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name     string
+		kind     graph.Kind
+		weighted bool
+		r0, r1   int
+	}{
+		{"undirected", graph.Undirected, false, 0, 8},
+		{"undirected/partial[3,9)", graph.Undirected, false, 3, 9},
+		{"directed", graph.Directed, false, 0, 8},
+		{"weighted", graph.Undirected, true, 0, 8},
+	}
+	for _, vc := range variants {
+		t.Run(vc.name, func(t *testing.T) {
+			// weight gives the variant's edge weights (0: the default).
+			weight := func(u, v int) float64 {
+				if !vc.weighted {
+					return 0
+				}
+				return float64((u+v)%4) + 0.5
+			}
+			b := graph.NewBuilder(base.N(), vc.kind)
+			base.Edges(func(u, v int, _ float64) bool {
+				if (u+v)%2 == 1 { // directed: orient half the arcs downward
+					u, v = v, u
+				}
+				if vc.weighted {
+					b.AddWeightedEdge(u, v, weight(u, v))
+				} else {
+					b.AddEdge(u, v)
+				}
+				return true
+			})
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := BuildRangeWorkers(g, 6, 5, vc.r0, vc.r1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func(d graph.Delta) {
+				t.Helper()
+				for i := range d.AddEdges {
+					d.AddEdges[i].W = weight(d.AddEdges[i].U, d.AddEdges[i].V)
+				}
+				g = applyAndRepair(t, ix, g, d)
+				assertRebuildParity(t, ix, 1)
+			}
+			edge := func(u, v int) []graph.Edge { return []graph.Edge{{U: u, V: v}} }
+
+			for seed := uint64(1); seed <= 3; seed++ {
+				batch := absentEdges(g, 8, seed)
+				step(graph.Delta{AddEdges: batch})
+				step(graph.Delta{RemoveEdges: batch})
+			}
+
+			hub := 0
+			for u := 1; u < g.N(); u++ {
+				if g.Degree(u) > g.Degree(hub) {
+					hub = u
+				}
+			}
+			far := g.N() - 1
+			for g.HasEdge(hub, far) || far == hub {
+				far--
+			}
+			step(graph.Delta{AddEdges: edge(hub, far)})
+			step(graph.Delta{RemoveEdges: edge(hub, far)})
+
+			iso := g.N()
+			step(graph.Delta{AddNodes: 1})
+			step(graph.Delta{AddEdges: edge(iso, far)})
+			step(graph.Delta{RemoveEdges: edge(iso, far)})
+
+			fresh := g.N()
+			wire := []graph.Edge{{U: fresh, V: hub}, {U: iso, V: fresh}}
+			if vc.kind == graph.Directed {
+				wire = append(wire, graph.Edge{U: hub, V: fresh})
+			}
+			step(graph.Delta{AddNodes: 1, AddEdges: wire})
+		})
+	}
+}
+
+// TestRepairUnsortedRows repairs an index whose rows are not sorted by
+// source — a build that falls back to shared counters leaves them in
+// scheduling order — and asserts every row still holds exactly a rebuild's
+// entries. The rows are reversed by hand so the disorder is deterministic.
+func TestRepairUnsortedRows(t *testing.T) {
+	g, err := graph.BarabasiAlbert(150, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := buildRange(g, 6, 9, 0, 6, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k+1 < len(ix.offsets); k++ {
+		slices.Reverse(ix.ids[ix.offsets[k]:ix.offsets[k+1]])
+		slices.Reverse(ix.hops[ix.offsets[k]:ix.offsets[k+1]])
+	}
+	deltas := []graph.Delta{
+		{AddEdges: []graph.Edge{{U: 3, V: 90}, {U: 0, V: 111}}},
+		{RemoveEdges: []graph.Edge{{U: 3, V: 90}}},
+		{AddNodes: 1, AddEdges: []graph.Edge{{U: 150, V: 0}}},
+	}
+	for _, d := range deltas {
+		g = applyAndRepair(t, ix, g, d)
+		ref, err := Build(g, 6, 6, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.N(); v++ {
+			for i := 0; i < ix.R(); i++ {
+				gotIDs, gotHops := ix.Row(i, v)
+				got := make(map[int32]uint16, len(gotIDs))
+				for p, id := range gotIDs {
+					got[id] = gotHops[p]
+				}
+				wantIDs, wantHops := ref.Row(i, v)
+				want := make(map[int32]uint16, len(wantIDs))
+				for p, id := range wantIDs {
+					want[id] = wantHops[p]
+				}
+				if len(gotIDs) != len(wantIDs) || !maps.Equal(got, want) {
+					t.Fatalf("row (%d,%d): got %v/%v want %v/%v", i, v, gotIDs, gotHops, wantIDs, wantHops)
+				}
+			}
+		}
+	}
 }
 
 // TestRepairRejections covers the guard rails: explicit-walk indexes, epoch
