@@ -26,7 +26,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/rng"
 	"repro/internal/server"
-	"repro/internal/walk"
 )
 
 // benchConfig is deliberately tiny: benchmarks measure the harness, not the
@@ -143,14 +142,6 @@ func BenchmarkAblationCSRVsAdjList(b *testing.B) {
 				}
 				u = int(row[r.Intn(len(row))])
 			}
-		}
-	})
-	// Full walk engine (buffer recording, weighted-capable PickNeighbor)
-	// for context against the bare CSR loop.
-	b.Run("WalkerEngine", func(b *testing.B) {
-		w, _ := walk.NewWalker(g, L, 1)
-		for i := 0; i < b.N; i++ {
-			w.Walk(i % g.N())
 		}
 	})
 }

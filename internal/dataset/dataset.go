@@ -14,7 +14,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -344,27 +343,4 @@ func Scalability(i int, scale float64) (*graph.Graph, error) {
 		n = 100
 	}
 	return PowerLawExact(n, m, 0x516+uint64(i))
-}
-
-// SmallSynthetic returns the n=1000, m≈9956 power-law graph of Figs. 2–5
-// ("a small synthetic graph with 1000 nodes and 9956 edges"). The exact
-// generator of the paper is unavailable; this reproduces the size.
-func SmallSynthetic() (*graph.Graph, error) {
-	return PowerLawExact(1000, 9956, 0x2345)
-}
-
-// Summary renders a Table 2-style summary row for a generated graph
-// alongside the paper's reported sizes.
-func Summary(d Info, g *graph.Graph) string {
-	s := g.ComputeStats()
-	return fmt.Sprintf("%-12s paper(n=%d m=%d) standin(n=%d m=%d maxdeg=%d gini=%.3f comps=%d)",
-		d.Name, d.Nodes, d.Edges, s.Nodes, s.Edges, s.MaxDegree, s.DegreeGini, s.Components)
-}
-
-// SortedCopy returns S sorted ascending without mutating the input; used by
-// experiment output for stable display.
-func SortedCopy(S []int) []int {
-	out := append([]int(nil), S...)
-	sort.Ints(out)
-	return out
 }

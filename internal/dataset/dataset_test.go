@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -157,38 +156,5 @@ func TestScalability(t *testing.T) {
 	}
 	if _, err := Scalability(1, 0); err == nil {
 		t.Error("scale 0 accepted")
-	}
-}
-
-func TestSmallSynthetic(t *testing.T) {
-	g, err := SmallSynthetic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 1000 {
-		t.Fatalf("n=%d, want 1000", g.N())
-	}
-	if math.Abs(float64(g.M())-9956) > 100 {
-		t.Fatalf("m=%d, want ≈9956 (paper's small synthetic graph)", g.M())
-	}
-}
-
-func TestSummary(t *testing.T) {
-	d, _ := ByName("CAGrQc")
-	g, _ := Load("CAGrQc", 0.02)
-	s := Summary(d, g)
-	if !strings.Contains(s, "CAGrQc") || !strings.Contains(s, "paper(n=5242") {
-		t.Fatalf("summary %q", s)
-	}
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 {
-		t.Fatalf("sorted copy %v", out)
-	}
-	if in[0] != 3 {
-		t.Fatal("input mutated")
 	}
 }

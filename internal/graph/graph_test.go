@@ -182,27 +182,6 @@ func TestDegreeSumInvariant(t *testing.T) {
 	}
 }
 
-func TestBFSPath(t *testing.T) {
-	g, err := Path(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := g.BFS(0)
-	for i, want := range []int{0, 1, 2, 3, 4} {
-		if dist[i] != want {
-			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], want)
-		}
-	}
-}
-
-func TestBFSUnreachable(t *testing.T) {
-	g := MustFromEdgeList(4, [][2]int{{0, 1}, {2, 3}})
-	dist := g.BFS(0)
-	if dist[2] != -1 || dist[3] != -1 {
-		t.Fatalf("unreachable distances %v, want -1", dist[2:])
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := MustFromEdgeList(6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	labels, count := g.ConnectedComponents()
@@ -217,63 +196,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if labels[5] == labels[0] || labels[5] == labels[3] {
 		t.Fatal("node 5 should be its own component")
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := MustFromEdgeList(7, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {5, 6}})
-	sub, ids, err := g.LargestComponent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("largest component n=%d m=%d, want 3, 3", sub.N(), sub.M())
-	}
-	want := map[int]bool{0: true, 1: true, 2: true}
-	for _, id := range ids {
-		if !want[id] {
-			t.Fatalf("unexpected original id %d in largest component", id)
-		}
-	}
-}
-
-func TestLargestComponentConnectedIdentity(t *testing.T) {
-	g := MustFromEdgeList(3, [][2]int{{0, 1}, {1, 2}})
-	sub, ids, err := g.LargestComponent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub != g {
-		t.Fatal("connected graph should be returned unchanged")
-	}
-	for i, id := range ids {
-		if i != id {
-			t.Fatalf("identity mapping broken at %d -> %d", i, id)
-		}
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *Graph
-		want int
-	}{
-		{"path5", mustGen(Path(5)), 4},
-		{"cycle6", mustGen(Cycle(6)), 3},
-		{"star10", mustGen(Star(10)), 2},
-		{"complete4", mustGen(Complete(4)), 1},
-	} {
-		if got := tc.g.Diameter(); got != tc.want {
-			t.Errorf("%s diameter = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestEccentricityLowerOnTree(t *testing.T) {
-	g := mustGen(Path(9))
-	if got := g.EccentricityLower(4); got != 8 {
-		t.Fatalf("double sweep from middle of a path = %d, want 8", got)
 	}
 }
 
@@ -441,21 +363,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "n=5") {
 		t.Fatalf("String() = %q", s.String())
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := mustGen(Star(5))
-	h := g.DegreeHistogram()
-	if h[1] != 4 || h[4] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestInducedSubgraphEmpty(t *testing.T) {
-	g := mustGen(Path(4))
-	if _, _, err := g.InducedSubgraph(func(int) bool { return false }); !errors.Is(err, ErrEmptyGraph) {
-		t.Fatalf("got %v, want ErrEmptyGraph", err)
 	}
 }
 

@@ -65,17 +65,6 @@ func (g *Graph) CoreNumbers() []int {
 	return core
 }
 
-// Degeneracy returns the graph's degeneracy: the maximum core number.
-func (g *Graph) Degeneracy() int {
-	maxCore := 0
-	for _, c := range g.CoreNumbers() {
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	return maxCore
-}
-
 // TopKByCore returns the k nodes with the highest core number, ties broken
 // by higher degree then lower node id — the "Core" baseline: like Degree
 // but robust to locally star-like hubs.

@@ -97,15 +97,6 @@ func TestCoreNumbersAgainstPeeling(t *testing.T) {
 	}
 }
 
-func TestDegeneracy(t *testing.T) {
-	if d := mustGen(Complete(5)).Degeneracy(); d != 4 {
-		t.Fatalf("K5 degeneracy %d, want 4", d)
-	}
-	if d := mustGen(Path(10)).Degeneracy(); d != 1 {
-		t.Fatalf("path degeneracy %d, want 1", d)
-	}
-}
-
 func TestTopKByCore(t *testing.T) {
 	// Triangle (core 2) + star hub (core 1, but high degree): core ranking
 	// puts the triangle first, unlike degree ranking.

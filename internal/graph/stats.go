@@ -94,22 +94,6 @@ func (s Stats) String() string {
 		s.Components, s.LargestComp, s.Isolated)
 }
 
-// DegreeHistogram returns counts[d] = number of nodes with degree d, up to
-// the maximum degree present.
-func (g *Graph) DegreeHistogram() []int {
-	maxD := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.Degree(u); d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int, maxD+1)
-	for u := 0; u < g.n; u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
-}
-
 // TopKByDegree returns the k nodes with the highest degree, ties broken by
 // lower node id, in descending degree order. This is exactly the paper's
 // Degree baseline selection.

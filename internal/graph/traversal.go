@@ -1,30 +1,5 @@
 package graph
 
-// BFS runs a breadth-first search from src and returns the hop distance to
-// every node, with -1 for unreachable nodes. For directed graphs distances
-// follow arc direction.
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for _, v := range g.Neighbors(int(u)) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // ConnectedComponents labels each node with a component id in [0, count) and
 // returns the labels and the component count. For directed graphs it
 // computes weakly connected components by following arcs in both directions
@@ -63,96 +38,4 @@ func (g *Graph) ConnectedComponents() (labels []int, count int) {
 func (g *Graph) IsConnected() bool {
 	_, c := g.ConnectedComponents()
 	return c == 1
-}
-
-// LargestComponent returns the subgraph induced by the largest connected
-// component together with the mapping from new node ids to original ids.
-// It is used to clean raw datasets before running domination algorithms,
-// since hitting times from unreachable components are pinned at L and only
-// add a constant to the objective.
-func (g *Graph) LargestComponent() (*Graph, []int, error) {
-	labels, count := g.ConnectedComponents()
-	if count <= 1 {
-		ids := make([]int, g.n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return g, ids, nil
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	return g.InducedSubgraph(func(u int) bool { return labels[u] == best })
-}
-
-// InducedSubgraph returns the subgraph induced by the nodes for which keep
-// returns true, along with the mapping from new ids to original ids.
-func (g *Graph) InducedSubgraph(keep func(u int) bool) (*Graph, []int, error) {
-	newID := make([]int32, g.n)
-	var ids []int
-	for u := 0; u < g.n; u++ {
-		if keep(u) {
-			newID[u] = int32(len(ids))
-			ids = append(ids, u)
-		} else {
-			newID[u] = -1
-		}
-	}
-	if len(ids) == 0 {
-		return nil, nil, ErrEmptyGraph
-	}
-	b := NewBuilder(len(ids), g.kind)
-	g.Edges(func(u, v int, w float64) bool {
-		if newID[u] >= 0 && newID[v] >= 0 {
-			b.AddWeightedEdge(int(newID[u]), int(newID[v]), w)
-		}
-		return true
-	})
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, ids, nil
-}
-
-// Diameter returns the exact diameter of the (assumed connected) graph via
-// one BFS per node. It is O(nm) and intended for small graphs in tests and
-// dataset summaries; callers with large graphs should use EccentricityLower.
-func (g *Graph) Diameter() int {
-	d := 0
-	for u := 0; u < g.n; u++ {
-		for _, dist := range g.BFS(u) {
-			if dist > d {
-				d = dist
-			}
-		}
-	}
-	return d
-}
-
-// EccentricityLower returns a lower bound on the diameter using the standard
-// double-sweep heuristic: BFS from src, then BFS from the farthest node
-// found. Exact on trees, a good bound in practice elsewhere.
-func (g *Graph) EccentricityLower(src int) int {
-	dist := g.BFS(src)
-	far, fd := src, 0
-	for u, d := range dist {
-		if d > fd {
-			far, fd = u, d
-		}
-	}
-	fd = 0
-	for _, d := range g.BFS(far) {
-		if d > fd {
-			fd = d
-		}
-	}
-	return fd
 }

@@ -12,12 +12,11 @@ import (
 // file (internal/store) instead, in one of three ways:
 //
 //   - raw chunks alias their CSR arrays straight out of the file's mapping
-//     or heap buffer — the hot paths are untouched and read the file's
-//     pages through the exact same slices;
+//     or heap buffer, so the row kernels read the file's pages through the
+//     same slices a fresh build would own;
 //   - compressed chunks of a heap-loaded file are decoded once, at load,
 //     into owned arrays (store.Spans.Materialize); the file buffer is then
-//     dropped and the index serves through the heap kernels, exactly like a
-//     fresh build;
+//     dropped and the index is indistinguishable from a fresh build;
 //   - compressed chunks of a mapped file leave offsets/ids/hops nil and
 //     serve node spans through a decode-on-read view (sb) with a hot-row
 //     cache, so an index larger than RAM serves off the page cache.
@@ -25,11 +24,13 @@ import (
 // Every loaded index keeps its origin (path and identity) so the cache can
 // skip re-spilling an unchanged index on eviction.
 //
-// All backings answer every query bit-identically: the decode-on-read gain
-// kernels below run the same integer arithmetic over the same logical rows
-// (entry order inside a row may differ after the writer's canonical sort,
-// which no consumer observes — all accumulation is integer and
-// order-independent). The storeparity test sweep pins this.
+// All backings answer every query bit-identically because they run the
+// same kernels: each row kernel reads a node's rows through nodeRows
+// (index.go), which only picks where the row bounds come from — the
+// offsets, or the block sb.NodeSpan decodes. Entry order inside a row may
+// differ after the writer's canonical sort, which no consumer observes: all
+// accumulation is integer and order-independent. The storeparity test
+// sweep pins this.
 //
 // Mutation is the one operation file pages cannot serve (a mapping is
 // PROT_READ): Repair promotes the index to owned heap arrays first — see
@@ -195,137 +196,4 @@ func (ix *Index) Promote() error {
 	ix.stf = nil
 	ix.origin = nil
 	return nil
-}
-
-// storeRow returns row (i, v) of a decode-on-read chunk.
-func (ix *Index) storeRow(i, v int) (ids []int32, hops []uint16) {
-	offs, bids, bhops := ix.sb.NodeSpan(v)
-	return bids[offs[i]:offs[i+1]], bhops[offs[i]:offs[i+1]]
-}
-
-// maxRowLenStore is MaxRowLen over a decode-on-read chunk.
-func (ix *Index) maxRowLenStore(u int) int {
-	offs, _, _ := ix.sb.NodeSpan(u)
-	best := int64(0)
-	for i := 0; i < ix.r; i++ {
-		if n := offs[i+1] - offs[i]; n > best {
-			best = n
-		}
-	}
-	return int(best)
-}
-
-// emptySumIntStore is emptySumInt over a decode-on-read chunk: identical
-// integer accumulation over the same logical entries, hence bit-identical.
-func (ix *Index) emptySumIntStore(p Problem, u int) int64 {
-	r := int64(ix.r)
-	l := int64(ix.l)
-	offs, _, hops := ix.sb.NodeSpan(u)
-	var acc int64
-	if p == Problem1 {
-		acc = r * l
-		for _, hop := range hops[offs[0]:offs[ix.r]] {
-			if int64(hop) < l {
-				acc += l - int64(hop)
-			}
-		}
-		return acc
-	}
-	return r + offs[ix.r] - offs[0]
-}
-
-// gainIntStore is gainInt over a decode-on-read chunk. The loop body is
-// line-for-line the heap kernel's with the span fetched once per candidate;
-// integer accumulation keeps the result independent of entry order, so the
-// writer's canonical row sort cannot change any answer.
-func (t *DTable) gainIntStore(u int) int64 {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	var acc int64
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
-				}
-			}
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			if t.d[base+i] == 0 {
-				acc++
-			}
-			for _, v := range bids[offs[i]:offs[i+1]] {
-				if t.d[int(v)*r+i] == 0 {
-					acc++
-				}
-			}
-		}
-	}
-	return acc
-}
-
-// updateStore is Update over a decode-on-read chunk.
-func (t *DTable) updateStore(u int) {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 0
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if j := int(v)*r + i; hops[e] < t.d[j] {
-					t.d[j] = hops[e]
-				}
-			}
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 1
-			for _, v := range bids[offs[i]:offs[i+1]] {
-				t.d[int(v)*r+i] = 1
-			}
-		}
-	}
-}
-
-// appendReplicateGainSumsStore is AppendReplicateGainSums over a decode-on-
-// read chunk.
-func (t *DTable) appendReplicateGainSumsStore(u int, out []int64) []int64 {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc := int64(t.d[base+i])
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
-				}
-			}
-			out = append(out, acc)
-		}
-		return out
-	}
-	for i := 0; i < r; i++ {
-		var acc int64
-		if t.d[base+i] == 0 {
-			acc++
-		}
-		for _, v := range bids[offs[i]:offs[i+1]] {
-			if t.d[int(v)*r+i] == 0 {
-				acc++
-			}
-		}
-		out = append(out, acc)
-	}
-	return out
 }

@@ -127,16 +127,10 @@ func (ix *Index) MaxRowLen(u int) int {
 		}
 		return best
 	}
-	if ix.sb != nil {
-		return ix.maxRowLenStore(u)
-	}
-	base := int64(u) * int64(ix.r)
+	lo, hi, _, _ := ix.nodeRows(u)
 	best := int64(0)
-	for i := int64(0); i < int64(ix.r); i++ {
-		lo, hi := ix.span(base + i)
-		if hi-lo > best {
-			best = hi - lo
-		}
+	for i := range lo {
+		best = max(best, hi[i]-lo[i])
 	}
 	return int(best)
 }
@@ -185,41 +179,31 @@ func (t *DTable) AppendReplicateGainSums(u int, out []int64) []int64 {
 		}
 		return out
 	}
-	if t.ix.sb != nil {
-		return t.appendReplicateGainSumsStore(u, out)
-	}
 	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
+	lo, hi, ids, hops := t.ix.nodeRows(u)
+	d := t.d
+	own := d[u*r : (u+1)*r]
 	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc := int64(t.d[base+i])
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
+		for i, du := range own {
+			acc := int64(du)
+			rowIDs, rowHops := ids[lo[i]:hi[i]], hops[lo[i]:hi[i]]
+			rowHops = rowHops[:len(rowIDs)] // drops the check on rowHops[e]
+			for e, v := range rowIDs {
+				if dv := d[int(v)*r+i]; rowHops[e] < dv {
+					acc += int64(dv - rowHops[e])
 				}
 			}
 			out = append(out, acc)
 		}
 		return out
 	}
-	for i := 0; i < r; i++ {
+	for i, du := range own {
 		var acc int64
-		if t.d[base+i] == 0 {
+		if du == 0 {
 			acc++
 		}
-		lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-		if ends != nil {
-			hi = ends[base+i]
-		}
-		for _, v := range t.ix.ids[lo:hi] {
-			if t.d[int(v)*r+i] == 0 {
+		for _, v := range ids[lo[i]:hi[i]] {
+			if d[int(v)*r+i] == 0 {
 				acc++
 			}
 		}

@@ -49,6 +49,7 @@ package index
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -124,10 +125,11 @@ type Index struct {
 	// Flat indexes (parts == nil) are untouched by the chunked machinery.
 	parts []*Index
 
-	// Row (i, v) occupies ids[span(v*R+i)] with parallel first-visit hops in
+	// Row (i, v) is row k = v*R+i of ids, with parallel first-visit hops in
 	// hops — candidate-major, all R rows of a node contiguous (see the
-	// package comment). Entries are (source node, hop of first visit), sorted
-	// by source; a source appears at most once per row.
+	// package comment); nodeRows resolves its bounds. Entries are (source
+	// node, hop of first visit), sorted by source; a source appears at most
+	// once per row.
 	//
 	// Freshly built or loaded indexes are compact: ends is nil and row k is
 	// ids[offsets[k]:offsets[k+1]]. After a Repair the index is patched: ends
@@ -176,13 +178,27 @@ type Index struct {
 	emptySums  [2][]int64
 }
 
-// span returns the bounds of row k in ids/hops, valid in both compact and
-// patched layouts.
-func (ix *Index) span(k int64) (lo, hi int64) {
-	if ix.ends == nil {
-		return ix.offsets[k], ix.offsets[k+1]
+// nodeRows returns the R replicate rows of node u in a flat index or chunk:
+// row i is ids[lo[i]:hi[i]], with the first-visit hops at the same
+// positions of hops, whatever backs the chunk. A compact heap chunk yields
+// consecutive offsets (hi is lo shifted by one); a patched one (after a
+// Repair) yields its ends; a decode-on-read chunk yields the block
+// sb.NodeSpan(u) decodes. Every row kernel — Gain, Update,
+// AppendReplicateGainSums, the empty-set sums, MaxRowLen and Row — reads
+// through it, so each has one body for all three backings. The slices
+// alias index storage and must not be modified.
+func (ix *Index) nodeRows(u int) (lo, hi []int64, ids []int32, hops []uint16) {
+	r := ix.r
+	if ix.sb != nil {
+		offs, ids, hops := ix.sb.NodeSpan(u)
+		return offs[:r], offs[1 : r+1], ids, hops
 	}
-	return ix.offsets[k], ix.ends[k]
+	base := u * r
+	lo = ix.offsets[base : base+r]
+	if ix.ends != nil {
+		return lo, ix.ends[base : base+r], ix.ids, ix.hops
+	}
+	return lo, ix.offsets[base+1 : base+r+1], ix.ids, ix.hops
 }
 
 // Build materializes R L-length random walks per node and constructs the
@@ -292,8 +308,8 @@ func buildRange(g *graph.Graph, L int, seed uint64, r0, r1, workers int, budget 
 	// counter array, later turned into its own write cursors: no atomics, no
 	// cache-line ping-pong between cores. When those arrays would cost too
 	// much transient memory, workers share candidate-major counters in
-	// counts with atomic increments instead; rows then hold the same entries
-	// in scheduling order.
+	// counts with atomic increments instead; rows then fill in scheduling
+	// order and are sorted by source after pass 2.
 	private := int64(workers)*int64(rows)*8 <= budget
 	var perWorker [][]int64
 	if private {
@@ -442,6 +458,19 @@ func buildRange(g *graph.Graph, L int, seed uint64, r0, r1, workers int, budget 
 		// as a cursor and still holds the total).
 		copy(ix.offsets[1:], ix.offsets[:rows])
 		ix.offsets[0] = 0
+		if workers > 1 {
+			// Concurrent workers claimed slots in scheduling order; sort each
+			// row by source so the index is the same at every worker count.
+			// Rows of a worker's node range are contiguous (candidate-major).
+			shard(func(_, lo, hi int) {
+				var s entrySorter
+				for k := lo * R; k < hi*R; k++ {
+					a, b := ix.offsets[k], ix.offsets[k+1]
+					s.ids, s.hops = ix.ids[a:b], ix.hops[a:b]
+					sort.Sort(&s)
+				}
+			})
+		}
 	}
 	return ix, nil
 }
@@ -579,11 +608,8 @@ func (ix *Index) Row(i, v int) (ids []int32, hops []uint16) {
 		pt, li := ix.partFor(i)
 		return pt.Row(li, v)
 	}
-	if ix.sb != nil {
-		return ix.storeRow(i, v)
-	}
-	lo, hi := ix.span(int64(v)*int64(ix.r) + int64(i))
-	return ix.ids[lo:hi], ix.hops[lo:hi]
+	lo, hi, ids, hops := ix.nodeRows(v)
+	return ids[lo[i]:hi[i]], hops[lo[i]:hi[i]]
 }
 
 // MemoryBytes reports the approximate heap footprint of the index, used by
@@ -718,9 +744,9 @@ func (t *DTable) Gain(u int) float64 {
 // order within rows and of how candidates are sharded across goroutines,
 // which is what keeps parallel selections bit-for-bit reproducible.
 //
-// The candidate-major layout makes this a single pass over two contiguous
-// spans: the candidate's own D-row d[u·R : (u+1)·R] and the candidate's
-// index entries ids[offsets[u·R] : offsets[(u+1)·R]].
+// The candidate-major layout makes this one pass over the candidate's own
+// D-row d[u·R : (u+1)·R] and its R index rows from nodeRows — a single
+// contiguous span in a compact chunk.
 func (t *DTable) gainInt(u int) int64 {
 	if t.tabs != nil {
 		var acc int64
@@ -729,39 +755,29 @@ func (t *DTable) gainInt(u int) int64 {
 		}
 		return acc
 	}
-	if t.ix.sb != nil {
-		return t.gainIntStore(u)
-	}
 	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
+	lo, hi, ids, hops := t.ix.nodeRows(u)
+	d := t.d
+	own := d[u*r : (u+1)*r]
 	var acc int64
 	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
+		for i, du := range own {
+			acc += int64(du)
+			rowIDs, rowHops := ids[lo[i]:hi[i]], hops[lo[i]:hi[i]]
+			rowHops = rowHops[:len(rowIDs)] // drops the check on rowHops[e]
+			for e, v := range rowIDs {
+				if dv := d[int(v)*r+i]; rowHops[e] < dv {
+					acc += int64(dv - rowHops[e])
 				}
 			}
 		}
 	} else {
-		for i := 0; i < r; i++ {
-			if t.d[base+i] == 0 {
+		for i, du := range own {
+			if du == 0 {
 				acc++
 			}
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			for _, v := range t.ix.ids[lo:hi] {
-				if t.d[int(v)*r+i] == 0 {
+			for _, v := range ids[lo[i]:hi[i]] {
+				if d[int(v)*r+i] == 0 {
 					acc++
 				}
 			}
@@ -809,16 +825,23 @@ func (t *DTable) GainSumBatch(us []int, out []int64) []int64 {
 // the final float64 arithmetic once, reproducing EstimateObjective's value
 // bit-for-bit.
 func (t *DTable) ObjectiveSum(members []bool) int64 {
+	return t.objectiveSum(members, false)
+}
+
+// objectiveSum is the one objective scan behind ObjectiveSum and
+// EstimateObjective; memo marks the rows it observes saturated in the
+// Problem-2 memo, which only EstimateObjective (the table's owner) may do.
+// A chunked table sums the exact partials of its columns.
+func (t *DTable) objectiveSum(members []bool, memo bool) int64 {
+	var acc int64
 	if t.tabs != nil {
-		var acc int64
 		for _, tb := range t.tabs {
-			acc += tb.ObjectiveSum(members)
+			acc += tb.objectiveSum(members, memo)
 		}
 		return acc
 	}
 	n := t.ix.g.N()
 	r := t.ix.r
-	var acc int64
 	for u := 0; u < n; u++ {
 		if t.problem == Problem1 && members[u] {
 			continue
@@ -827,10 +850,14 @@ func (t *DTable) ObjectiveSum(members []bool) int64 {
 			acc += int64(r)
 			continue
 		}
-		base := u * r
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
+		var row int64
+		for _, dv := range t.d[u*r : (u+1)*r] {
+			row += int64(dv)
 		}
+		if memo && t.sat != nil && row == int64(r) {
+			t.sat[u] = true
+		}
+		acc += row
 	}
 	return acc
 }
@@ -847,39 +874,26 @@ func (t *DTable) Update(u int) {
 		t.muts++
 		return
 	}
-	if t.ix.sb != nil {
-		t.updateStore(u)
-		t.size++
-		t.muts++
-		return
-	}
 	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
+	lo, hi, ids, hops := t.ix.nodeRows(u)
+	d := t.d
+	own := d[u*r : (u+1)*r]
 	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 0
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if j := int(v)*r + i; hops[e] < t.d[j] {
-					t.d[j] = hops[e]
+		for i := range own {
+			own[i] = 0
+			rowIDs, rowHops := ids[lo[i]:hi[i]], hops[lo[i]:hi[i]]
+			rowHops = rowHops[:len(rowIDs)] // drops the check on rowHops[e]
+			for e, v := range rowIDs {
+				if j := int(v)*r + i; rowHops[e] < d[j] {
+					d[j] = rowHops[e]
 				}
 			}
 		}
 	} else {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 1
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			for _, v := range t.ix.ids[lo:hi] {
-				t.d[int(v)*r+i] = 1
+		for i := range own {
+			own[i] = 1
+			for _, v := range ids[lo[i]:hi[i]] {
+				d[int(v)*r+i] = 1
 			}
 		}
 	}
@@ -899,48 +913,11 @@ func (t *DTable) Update(u int) {
 // grow toward saturation, and late greedy rounds saturate most of the
 // graph, so repeated objective probes become nearly O(n).
 func (t *DTable) EstimateObjective(members []bool) float64 {
-	var acc int64
-	if t.tabs != nil {
-		for _, tb := range t.tabs {
-			acc += tb.objectiveAccum(members)
-		}
-	} else {
-		acc = t.objectiveAccum(members)
-	}
+	acc := t.objectiveSum(members, true)
 	n := t.ix.g.N()
 	avg := float64(acc) / float64(t.ix.r)
 	if t.problem == Problem1 {
 		return float64(n)*float64(t.ix.l) - avg
 	}
 	return avg
-}
-
-// objectiveAccum is EstimateObjective's integer accumulator over a flat
-// table's replicate columns, maintaining the Problem-2 saturation memo. The
-// chunked path sums it across child tables and applies the float arithmetic
-// once with the total replicate width, so chunked objectives are bit-for-bit
-// identical to flat ones.
-func (t *DTable) objectiveAccum(members []bool) int64 {
-	n := t.ix.g.N()
-	r := t.ix.r
-	var acc int64
-	for u := 0; u < n; u++ {
-		if t.problem == Problem1 && members[u] {
-			continue
-		}
-		if t.sat != nil && t.sat[u] {
-			acc += int64(r)
-			continue
-		}
-		var row int64
-		base := u * r
-		for i := 0; i < r; i++ {
-			row += int64(t.d[base+i])
-		}
-		if t.sat != nil && row == int64(r) {
-			t.sat[u] = true
-		}
-		acc += row
-	}
-	return acc
 }

@@ -23,10 +23,9 @@ func emptySlot(p Problem) (int, error) {
 }
 
 // emptySumInt computes the empty-set integer gain sum of node u, the kernel
-// behind EmptySetGainSums (and through it EmptySetGains). In the compact
-// layout a node's R replicate rows are contiguous (candidate-major) and the
-// whole sum reads one span; a patched index walks the R row spans
-// individually.
+// behind EmptySetGainSums (and through it EmptySetGains): the D-table gain
+// kernel with d ≡ L (Problem 1) or d ≡ 0 (Problem 2) folded in, reading the
+// node's R rows through nodeRows like every other row kernel.
 func (ix *Index) emptySumInt(p Problem, u int) int64 {
 	if ix.parts != nil {
 		// Per-chunk accumulators start from the chunk's own width (R_c·L or
@@ -37,45 +36,26 @@ func (ix *Index) emptySumInt(p Problem, u int) int64 {
 		}
 		return acc
 	}
-	if ix.sb != nil {
-		return ix.emptySumIntStore(p, u)
-	}
 	r := int64(ix.r)
 	l := int64(ix.l)
-	var acc int64
-	if p == Problem1 {
-		// d ≡ L: the node's own rows contribute R·L, and every index entry
-		// with hop < L improves its source's hitting time by L − hop.
-		acc = r * l
-	} else {
+	lo, hi, _, hops := ix.nodeRows(u)
+	if p == Problem2 {
 		// d ≡ 0: the node's own rows contribute R, and every index entry is
 		// a not-yet-dominated source walk.
-		acc = r
-	}
-	base := int64(u) * r
-	if ix.ends == nil {
-		lo, hi := ix.offsets[base], ix.offsets[base+r]
-		if p == Problem1 {
-			for _, hop := range ix.hops[lo:hi] {
-				if int64(hop) < l {
-					acc += l - int64(hop)
-				}
-			}
-		} else {
-			acc += hi - lo
+		acc := r
+		for i := range lo {
+			acc += hi[i] - lo[i]
 		}
 		return acc
 	}
-	for i := int64(0); i < r; i++ {
-		lo, hi := ix.offsets[base+i], ix.ends[base+i]
-		if p == Problem1 {
-			for _, hop := range ix.hops[lo:hi] {
-				if int64(hop) < l {
-					acc += l - int64(hop)
-				}
+	// d ≡ L: the node's own rows contribute R·L, and every index entry with
+	// hop < L improves its source's hitting time by L − hop.
+	acc := r * l
+	for i := range lo {
+		for _, hop := range hops[lo[i]:hi[i]] {
+			if int64(hop) < l {
+				acc += l - int64(hop)
 			}
-		} else {
-			acc += hi - lo
 		}
 	}
 	return acc

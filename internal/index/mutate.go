@@ -68,10 +68,11 @@ var ErrUnrepairable = fmt.Errorf("index: built from explicit walks, cannot repai
 // physical entry storage is dead.
 const compactThreshold = 0.5
 
-// entrySorter sorts a row's (id, hop) pairs by source id. Build emits each
-// row's entries in ascending source order unless it fell back to shared
-// counters, and Repair's merge needs sorted rows: keeping repaired rows
-// sorted is what makes a compacted repair bit-identical to a full rebuild.
+// entrySorter sorts a row's (id, hop) pairs by source id: the shared-counter
+// build path sorts every row with it, and Repair's merge with it sorts any
+// unsorted row it is handed. Keeping rows sorted is what makes a build the
+// same at every worker count and a compacted repair bit-identical to a full
+// rebuild.
 type entrySorter struct {
 	ids  []int32
 	hops []uint16
@@ -358,8 +359,8 @@ func (ix *Index) mergeEdits(remove, insert []edit) {
 
 		lo, hi := ix.offsets[k], ix.ends[k]
 		if !slices.IsSorted(ix.ids[lo:hi]) {
-			// A build that fell back to shared counters leaves rows in
-			// scheduling order; a row is a set, so sort it first.
+			// Build paths emit sorted rows; a row that reaches Repair some
+			// other way need not be, and a row is a set, so sort it first.
 			sort.Sort(&entrySorter{ix.ids[lo:hi], ix.hops[lo:hi]})
 		}
 		ids, hops = ids[:0], hops[:0]

@@ -1,10 +1,9 @@
 // Package walk implements the L-length random-walk model of Section 2 of the
 // paper and the sampling-based estimators of Section 3.1 (Algorithm 2):
 //
-//   - Walker runs L-length random walks on a graph;
-//   - EstimateHitTime implements the unbiased estimator ĥ^L_{uS} of Eq. (9);
-//   - EstimateHitProb implements the unbiased estimator Ê[X^L_{uS}] of Eq. (10);
-//   - Estimator.EstimateF implements Algorithm 2, producing F̂1(S) and F̂2(S);
+//   - Estimator.EstimateF implements Algorithm 2, producing F̂1(S) and F̂2(S)
+//     from R walks per node, whose per-node averages are the unbiased
+//     estimators ĥ^L_{uS} of Eq. (9) and Ê[X^L_{uS}] of Eq. (10);
 //   - SampleSizeF1 / SampleSizeF2 implement the Hoeffding sample-size bounds
 //     of Lemmas 3.3 and 3.4.
 //
@@ -24,107 +23,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// Walker runs L-length random walks over a fixed graph. It reuses an
-// internal position buffer, so the slice returned by Walk is only valid
-// until the next call. A Walker is not safe for concurrent use; derive one
-// per goroutine via Fork.
-type Walker struct {
-	g   *graph.Graph
-	l   int
-	rnd *rng.Source
-	buf []int32
-}
-
-// NewWalker returns a walker on g with walk-length bound L, seeded
-// deterministically.
-func NewWalker(g *graph.Graph, L int, seed uint64) (*Walker, error) {
-	if L < 0 {
-		return nil, fmt.Errorf("walk: negative walk length %d", L)
-	}
-	return &Walker{g: g, l: L, rnd: rng.New(seed), buf: make([]int32, 0, L+1)}, nil
-}
-
-// L returns the walk-length bound.
-func (w *Walker) L() int { return w.l }
-
-// Fork derives an independent walker for use on another goroutine.
-func (w *Walker) Fork() *Walker {
-	return &Walker{g: w.g, l: w.l, rnd: w.rnd.Split(), buf: make([]int32, 0, w.l+1)}
-}
-
-// Walk runs one L-length random walk from start and returns the node
-// sequence, position 0 being start. The walk may be shorter than L+1
-// positions only if it gets stuck at a node with no outgoing edges. The
-// returned slice is reused by the next Walk call.
-func (w *Walker) Walk(start int) []int32 {
-	if start < 0 || start >= w.g.N() {
-		panic(fmt.Sprintf("walk: start node %d out of range [0,%d)", start, w.g.N()))
-	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, int32(start))
-	u := start
-	for step := 0; step < w.l; step++ {
-		v := w.g.PickNeighbor(u, w.rnd.Float64())
-		if v < 0 {
-			break // stuck: no outgoing edges
-		}
-		w.buf = append(w.buf, int32(v))
-		u = v
-	}
-	return w.buf
-}
-
-// HitTime runs one walk from start and returns the first time t at which the
-// walk occupies a node with inS[node] true, or L if no such time exists
-// within the budget — exactly the random variable T^L_{uS} of Eq. (3).
-// The second result reports whether the walk hit.
-func (w *Walker) HitTime(start int, inS []bool) (int, bool) {
-	if inS[start] {
-		return 0, true
-	}
-	u := start
-	for step := 1; step <= w.l; step++ {
-		v := w.g.PickNeighbor(u, w.rnd.Float64())
-		if v < 0 {
-			return w.l, false
-		}
-		if inS[v] {
-			return step, true
-		}
-		u = v
-	}
-	return w.l, false
-}
-
-// EstimateHitTime returns ĥ^L_{uS}, the unbiased estimator of Eq. (9), from
-// R independent walks: (Σ hit times + (R−r)·L) / R where r walks hit.
-func (w *Walker) EstimateHitTime(u int, inS []bool, R int) float64 {
-	if R <= 0 {
-		panic("walk: sample size R must be positive")
-	}
-	total := 0
-	for i := 0; i < R; i++ {
-		t, _ := w.HitTime(u, inS)
-		total += t
-	}
-	return float64(total) / float64(R)
-}
-
-// EstimateHitProb returns Ê[X^L_{uS}] = r/R, the unbiased estimator of
-// Eq. (10).
-func (w *Walker) EstimateHitProb(u int, inS []bool, R int) float64 {
-	if R <= 0 {
-		panic("walk: sample size R must be positive")
-	}
-	hits := 0
-	for i := 0; i < R; i++ {
-		if _, ok := w.HitTime(u, inS); ok {
-			hits++
-		}
-	}
-	return float64(hits) / float64(R)
-}
 
 // Estimator implements Algorithm 2: sampling-based estimation of F1(S) and
 // F2(S) for arbitrary sets S. Each node's walks are seeded independently
@@ -243,8 +141,11 @@ func (e *Estimator) EstimateFWorkers(S []int, R, workers int) (f1, f2 float64, e
 	return f1, f2, nil
 }
 
-// hitTimeSeeded is Walker.HitTime with an explicit RNG, used by the
-// deterministic per-node estimator.
+// hitTimeSeeded runs one walk from start on rnd and returns the first time
+// t at which the walk occupies a node with inS[node] true, or L if no such
+// time exists within the budget — exactly the random variable T^L_{uS} of
+// Eq. (3). The second result reports whether the walk hit. The estimator
+// seeds rnd per (node, sample), so estimates do not depend on sharding.
 func hitTimeSeeded(g *graph.Graph, L, start int, inS []bool, rnd *rng.Source) (int, bool) {
 	if inS[start] {
 		return 0, true

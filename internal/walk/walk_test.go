@@ -7,63 +7,23 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hitting"
+	"repro/internal/rng"
 )
 
-func TestNewWalkerRejectsNegativeL(t *testing.T) {
-	g := graph.MustFromEdgeList(2, [][2]int{{0, 1}})
-	if _, err := NewWalker(g, -1, 0); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestWalkLengthAndValidity(t *testing.T) {
-	g, _ := graph.BarabasiAlbert(100, 3, 1)
-	w, err := NewWalker(g, 7, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		start := trial % g.N()
-		path := w.Walk(start)
-		if len(path) != 8 {
-			t.Fatalf("walk length %d, want L+1=8 on a connected graph", len(path))
-		}
-		if int(path[0]) != start {
-			t.Fatalf("walk starts at %d, want %d", path[0], start)
-		}
-		for i := 1; i < len(path); i++ {
-			if !g.HasEdge(int(path[i-1]), int(path[i])) {
-				t.Fatalf("walk uses non-edge %d-%d", path[i-1], path[i])
-			}
-		}
-	}
-}
-
 func TestWalkStuckAtIsolatedNode(t *testing.T) {
+	// A walk from an isolated node never moves, so it never reaches S and
+	// its hitting time is pinned at L.
 	g := graph.MustFromEdgeList(3, [][2]int{{0, 1}}) // node 2 isolated
-	w, _ := NewWalker(g, 5, 1)
-	path := w.Walk(2)
-	if len(path) != 1 || path[0] != 2 {
-		t.Fatalf("isolated walk = %v, want [2]", path)
+	inS := []bool{true, false, false}
+	if tHit, hit := hitTimeSeeded(g, 5, 2, inS, rng.New(1)); tHit != 5 || hit {
+		t.Fatalf("isolated walk: got (%d,%v), want (5,false)", tHit, hit)
 	}
-}
-
-func TestWalkPanicsOnBadStart(t *testing.T) {
-	g := graph.MustFromEdgeList(2, [][2]int{{0, 1}})
-	w, _ := NewWalker(g, 3, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w.Walk(7)
 }
 
 func TestHitTimeImmediate(t *testing.T) {
 	g := graph.MustFromEdgeList(2, [][2]int{{0, 1}})
-	w, _ := NewWalker(g, 5, 1)
 	inS := []bool{true, false}
-	tHit, hit := w.HitTime(0, inS)
+	tHit, hit := hitTimeSeeded(g, 5, 0, inS, rng.New(1))
 	if tHit != 0 || !hit {
 		t.Fatalf("start in S: got (%d,%v), want (0,true)", tHit, hit)
 	}
@@ -72,10 +32,10 @@ func TestHitTimeImmediate(t *testing.T) {
 func TestHitTimeDeterministicChain(t *testing.T) {
 	// On the 2-node path from 0 with S={1}, the walk hits at time 1 always.
 	g := graph.MustFromEdgeList(2, [][2]int{{0, 1}})
-	w, _ := NewWalker(g, 5, 9)
+	rnd := rng.New(9)
 	inS := []bool{false, true}
 	for i := 0; i < 20; i++ {
-		tHit, hit := w.HitTime(0, inS)
+		tHit, hit := hitTimeSeeded(g, 5, 0, inS, rnd)
 		if tHit != 1 || !hit {
 			t.Fatalf("got (%d,%v), want (1,true)", tHit, hit)
 		}
@@ -85,10 +45,10 @@ func TestHitTimeDeterministicChain(t *testing.T) {
 func TestHitTimeCapAtL(t *testing.T) {
 	// Unreachable target: always (L, false).
 	g := graph.MustFromEdgeList(4, [][2]int{{0, 1}, {2, 3}})
-	w, _ := NewWalker(g, 4, 2)
+	rnd := rng.New(2)
 	inS := []bool{false, false, true, false}
 	for i := 0; i < 20; i++ {
-		tHit, hit := w.HitTime(0, inS)
+		tHit, hit := hitTimeSeeded(g, 4, 0, inS, rnd)
 		if tHit != 4 || hit {
 			t.Fatalf("got (%d,%v), want (4,false)", tHit, hit)
 		}
@@ -96,7 +56,8 @@ func TestHitTimeCapAtL(t *testing.T) {
 }
 
 func TestEstimatorUnbiasedAgainstExactDP(t *testing.T) {
-	// With many samples, ĥ and p̂ converge to the exact DP values.
+	// With many samples, the per-node estimators ĥ (Eq. 9) and p̂ (Eq. 10)
+	// that EstimateF sums converge to the exact DP values.
 	g, _ := graph.BarabasiAlbert(60, 2, 5)
 	const L = 6
 	const R = 4000
@@ -108,10 +69,17 @@ func TestEstimatorUnbiasedAgainstExactDP(t *testing.T) {
 	ev, _ := hitting.NewEvaluator(g, L)
 	exactH, _ := ev.HitTimesToSet(S, nil)
 	exactP, _ := ev.HitProbsToSet(S, nil)
-	w, _ := NewWalker(g, L, 77)
 	for _, u := range []int{1, 5, 20, 40, 59} {
-		hHat := w.EstimateHitTime(u, inS, R)
-		pHat := w.EstimateHitProb(u, inS, R)
+		total, hits := 0, 0
+		for i := 0; i < R; i++ {
+			tHit, hit := hitTimeSeeded(g, L, u, inS, rng.New(rng.Mix(77, uint64(u), uint64(i))))
+			total += tHit
+			if hit {
+				hits++
+			}
+		}
+		hHat := float64(total) / R
+		pHat := float64(hits) / R
 		if math.Abs(hHat-exactH[u]) > 0.15 {
 			t.Errorf("u=%d: ĥ=%v exact=%v", u, hHat, exactH[u])
 		}
@@ -183,41 +151,6 @@ func TestEstimateFErrors(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	g, _ := graph.BarabasiAlbert(50, 2, 7)
-	w, _ := NewWalker(g, 5, 1)
-	child := w.Fork()
-	// Both usable; streams differ.
-	a := append([]int32(nil), w.Walk(0)...)
-	b := append([]int32(nil), child.Walk(0)...)
-	same := len(a) == len(b)
-	if same {
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-	}
-	// A single identical walk can happen by chance, so compare several.
-	if same {
-		a2 := append([]int32(nil), w.Walk(1)...)
-		b2 := append([]int32(nil), child.Walk(1)...)
-		identical := len(a2) == len(b2)
-		if identical {
-			for i := range a2 {
-				if a2[i] != b2[i] {
-					identical = false
-					break
-				}
-			}
-		}
-		if identical {
-			t.Fatal("forked walker mirrors parent stream")
-		}
-	}
-}
-
 func TestWeightedWalkBias(t *testing.T) {
 	// Node 1 connects to 0 with weight 9 and to 2 with weight 1: the first
 	// step from 1 should go to 0 about 90% of the time.
@@ -228,12 +161,14 @@ func TestWeightedWalkBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := NewWalker(g, 1, 11)
+	// With L = 1 and S = {0}, a walk from 1 hits exactly when its first
+	// step goes to 0.
+	inS := []bool{true, false, false}
+	rnd := rng.New(11)
 	to0 := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		path := w.Walk(1)
-		if path[1] == 0 {
+		if _, hit := hitTimeSeeded(g, 1, 1, inS, rnd); hit {
 			to0++
 		}
 	}
@@ -322,15 +257,6 @@ func TestEstimatorDeterministicForSeed(t *testing.T) {
 	f1b, f2b, _ := b.EstimateF(S, 50)
 	if f1a != f1b || f2a != f2b {
 		t.Fatalf("same seed gave different estimates: (%v,%v) vs (%v,%v)", f1a, f2a, f1b, f2b)
-	}
-}
-
-func BenchmarkWalk(b *testing.B) {
-	g, _ := graph.BarabasiAlbert(10000, 5, 1)
-	w, _ := NewWalker(g, 10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Walk(i % g.N())
 	}
 }
 
