@@ -100,7 +100,11 @@ func ApproxStochastic(g *graph.Graph, opts Options, p index.Problem, eps float64
 	}
 	build := time.Since(start)
 	start = time.Now()
-	res, err := greedy.RunStochastic(g.N(), opts.K, dtableOracle{d}, eps, opts.Seed+0x57)
+	oracle, err := newDTableOracle(d)
+	if err != nil {
+		return nil, err
+	}
+	res, err := greedy.RunStochastic(g.N(), opts.K, oracle, eps, opts.Seed+0x57)
 	if err != nil {
 		return nil, err
 	}

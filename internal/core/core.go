@@ -293,12 +293,42 @@ func SampleF2(g *graph.Graph, opts Options) (*Selection, error) {
 
 // dtableOracle adapts an index.DTable to the greedy.BatchOracle interface.
 // Gain and GainBatch are pure reads of the D-table, so greedy.Run may call
-// them concurrently between Updates.
-type dtableOracle struct{ d *index.DTable }
+// them concurrently between Updates. While the table is empty — round 1 of
+// every driver — they answer from the index's memoized empty-set gain sums
+// instead: the same integer sum divided by the same R as DTable.Gain, so
+// the values are the same float64 bits without a D-table sweep.
+type dtableOracle struct {
+	d     *index.DTable
+	empty []int64 // Index.EmptySetGainSums of d's problem
+	r     float64
+}
 
-func (o dtableOracle) Gain(u int) float64 { return o.d.Gain(u) }
-func (o dtableOracle) Update(u int)       { o.d.Update(u) }
+// newDTableOracle wraps d, fetching the empty-set sums once up front: inside
+// GainBatch the concurrent sweep workers would queue on the memo's lock.
+func newDTableOracle(d *index.DTable) (dtableOracle, error) {
+	empty, err := d.Index().EmptySetGainSums(d.Problem())
+	if err != nil {
+		return dtableOracle{}, err
+	}
+	return dtableOracle{d: d, empty: empty, r: float64(d.Index().R())}, nil
+}
+
+func (o dtableOracle) Gain(u int) float64 {
+	if o.d.Size() == 0 {
+		return float64(o.empty[u]) / o.r
+	}
+	return o.d.Gain(u)
+}
+
+func (o dtableOracle) Update(u int) { o.d.Update(u) }
+
 func (o dtableOracle) GainBatch(us []int, out []float64) []float64 {
+	if o.d.Size() == 0 {
+		for _, u := range us {
+			out = append(out, float64(o.empty[u])/o.r)
+		}
+		return out
+	}
 	return o.d.GainBatch(us, out)
 }
 
@@ -343,6 +373,12 @@ func approxGreedy(g *graph.Graph, opts Options, name string, p index.Problem) (*
 // returns ctx's error — how the query-serving engine enforces per-request
 // timeouts and graceful drain. BuildTime in the result covers only the
 // D-table setup.
+//
+// Round 1 is answered from the index's memoized empty-set gain sums
+// (Index.EmptySetGainSums) rather than a D-table sweep, with bit-identical
+// gains and the same Evaluations count. The first select on a fresh or
+// just-repaired index pays the one-off O(entries) sum, inside SelectTime;
+// later selects on the same index read round 1 for free.
 func ApproxWithIndex(ctx context.Context, ix *index.Index, p index.Problem, k int, cfg greedy.Config) (*Selection, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("core: negative budget K=%d", k)
@@ -357,7 +393,15 @@ func ApproxWithIndex(ctx context.Context, ix *index.Index, p index.Problem, k in
 	}
 	build := time.Since(start)
 	start = time.Now()
-	res, err := greedy.Run(ctx, ix.Graph().N(), k, dtableOracle{d}, cfg)
+	// A request canceled already need not pay for the one-off memo sum.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	oracle, err := newDTableOracle(d)
+	if err != nil {
+		return nil, err
+	}
+	res, err := greedy.Run(ctx, ix.Graph().N(), k, oracle, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -93,11 +93,14 @@ func (ix *Index) EmptySetGains(p Problem) ([]float64, error) {
 // EmptySetGainSums is EmptySetGains in the integer domain: the gain sum of
 // every node against the empty set, before the division by R. The vector is
 // computed once per problem and memoized on the index until the next
-// Repair; the returned slice is shared and must not be modified. By
-// submodularity each entry bounds the node's gain sum against every set,
-// which is what lets core.TopGains stop early. It is also the empty-set
-// fast path of the partial (replicate-sharded) read surface, where answers
-// stay integral so the coordinator can merge shard ranges exactly.
+// Repair; the returned slice is shared and must not be modified. The
+// greedy oracle of core.ApproxWithIndex answers round 1 of every select
+// from it (each entry divided by R is exactly DTable.Gain on a fresh
+// table). By submodularity each entry bounds the node's gain sum against
+// every set, which is what lets core.TopGains stop early. It is also the
+// empty-set fast path of the partial (replicate-sharded) read surface,
+// where answers stay integral so the coordinator can merge shard ranges
+// exactly.
 func (ix *Index) EmptySetGainSums(p Problem) ([]int64, error) {
 	slot, err := emptySlot(p)
 	if err != nil {
