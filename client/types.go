@@ -243,8 +243,10 @@ type ApplyDeltaResponse struct {
 	Edges   int `json:"edges"`
 	Touched int `json:"touched"`
 	// IndexesRepaired counts resident walk indexes carried across the
-	// mutation by incremental repair; IndexesDropped those that rebuild on
-	// next use; MemosDropped the memoized gain tables invalidated.
+	// mutation by incremental repair (a copy is repaired when a read pins
+	// one); IndexesDropped those that rebuild on next use; MemosDropped the
+	// memoized gain tables discarded (pinned by a read, or over a dropped
+	// index) — tables patched and carried to the new epoch are not counted.
 	IndexesRepaired int `json:"indexes_repaired"`
 	IndexesDropped  int `json:"indexes_dropped"`
 	MemosDropped    int `json:"memos_dropped"`

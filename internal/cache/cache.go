@@ -12,10 +12,11 @@
 // size at population time), and the cache-specific behaviors are hooks on
 // top of it. The index cache spills victims to disk from its OnEvict hook;
 // the memo cache pins the longest cached prefix of a set through PinBest
-// while extending it; and the serving layer links the two caches with
-// Take, dropping memoized tables when the index they were built from is
-// evicted so an evicted index's heap is actually released instead of being
-// pinned by its dependents.
+// while extending it; the serving layer links the two caches with
+// Invalidate, dropping memoized tables when the index they were built from
+// is evicted so an evicted index's heap is actually released instead of
+// being pinned by its dependents; and a graph mutation moves both caches'
+// entries to their post-mutation keys with Take and Put.
 //
 // # Lifecycle invariants
 //
@@ -292,19 +293,20 @@ func (c *Cache[K, V]) Invalidate(match func(K) bool) int {
 }
 
 // Take removes every ready entry whose key matches — like Invalidate — but
-// transfers ownership of the unreferenced victims to the caller instead of
-// routing them through OnEvict: once Take returns, no map entry and no live
-// handle references a returned value, so the caller may mutate it freely
-// (the index cache uses this to repair walk indexes in place after a graph
-// mutation). Entries still pinned by a handle are orphaned exactly as
-// Invalidate orphans them — removed from the map, value released for
-// collection when the last holder calls Release — and are reported by key
-// only, since their values are still shared with live readers. Entries
-// still populating are skipped entirely: their leader will publish under a
-// key the caller has already decided is stale, which is wasteful but
-// harmless (nothing resolves that key again) and the leader's handle keeps
-// the entry pinned anyway.
-func (c *Cache[K, V]) Take(match func(K) bool) (taken []Entry[K, V], orphaned []K) {
+// hands the victims to the caller instead of routing them through OnEvict.
+// taken holds the unreferenced ones: once Take returns, no map entry and no
+// live handle references their values, so the caller may mutate them
+// freely (the serving layer repairs walk indexes and their memoized tables
+// in place after a graph mutation). orphaned holds the entries still pinned
+// by a handle, orphaned exactly as Invalidate orphans them — removed from
+// the map, value released for collection when the last holder calls
+// Release. Their values are still shared with live readers, so the caller
+// may read them (to copy one, say) but must not mutate them. Entries still
+// populating are skipped entirely: their leader will publish under a key
+// the caller has already decided is stale, which is wasteful but harmless
+// (nothing resolves that key again) and the leader's handle keeps the entry
+// pinned anyway.
+func (c *Cache[K, V]) Take(match func(K) bool) (taken, orphaned []Entry[K, V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
@@ -313,13 +315,36 @@ func (c *Cache[K, V]) Take(match func(K) bool) (taken []Entry[K, V], orphaned []
 		}
 		c.removeLocked(e)
 		c.stats.Invalidated++
+		ent := Entry[K, V]{Key: e.key, Value: e.value, Bytes: e.bytes}
 		if e.refs == 0 {
-			taken = append(taken, Entry[K, V]{Key: e.key, Value: e.value, Bytes: e.bytes})
+			taken = append(taken, ent)
 		} else {
-			orphaned = append(orphaned, e.key)
+			orphaned = append(orphaned, ent)
 		}
 	}
 	return taken, orphaned
+}
+
+// Put publishes value under key as a ready, unreferenced entry, unless the
+// key is already present (resident or populating), and reports whether it
+// did. It counts neither a hit nor a miss: the value was not asked for, it
+// is carried over (the serving layer re-publishes memoized tables a graph
+// mutation repaired under their post-mutation key). The entry joins the LRU
+// as of the current clock and may push older entries out of the budgets.
+func (c *Cache[K, V]) Put(key K, value V, bytes int64) bool {
+	c.mu.Lock()
+	if _, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		return false
+	}
+	e := &entry[K, V]{key: key, ready: make(chan struct{}), value: value, bytes: bytes, lastUse: c.clock}
+	close(e.ready)
+	c.entries[key] = e
+	c.residentBytes += bytes
+	victims := c.evictOverBudgetLocked()
+	c.mu.Unlock()
+	c.notify(victims)
+	return true
 }
 
 // EvictIdle evicts every unreferenced entry whose last use is not newer than

@@ -421,3 +421,47 @@ func TestHandleDoubleReleaseIsNoOp(t *testing.T) {
 	}
 	h2.Release()
 }
+
+// Take hands over the unreferenced matches and reports the pinned ones with
+// their values; Put re-publishes a value without counting a hit or a miss,
+// and leaves a key that is already present alone.
+func TestTakeAndPut(t *testing.T) {
+	c := New(Config[int, val]{})
+	for k := 1; k <= 3; k++ {
+		h, err := c.Acquire(k, populateVal(k, 10, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != 2 {
+			h.Release()
+		} else {
+			defer h.Release()
+		}
+	}
+	taken, orphaned := c.Take(func(k int) bool { return k >= 2 })
+	if len(taken) != 1 || taken[0].Key != 3 || taken[0].Value.key != 3 {
+		t.Fatalf("taken %+v, want key 3 with its value", taken)
+	}
+	if len(orphaned) != 1 || orphaned[0].Key != 2 || orphaned[0].Value.key != 2 {
+		t.Fatalf("orphaned %+v, want key 2 with its value", orphaned)
+	}
+	before := c.Stats()
+	if !c.Put(4, taken[0].Value, 10) {
+		t.Fatal("Put of an absent key did not publish")
+	}
+	if c.Put(1, val{key: 99}, 10) {
+		t.Fatal("Put replaced a resident key")
+	}
+	h, err := c.Acquire(4, func() (val, int64, error) { return val{}, 0, errors.New("populated a put key") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Value().key != 3 {
+		t.Fatalf("put key serves %d, want the carried value 3", h.Value().key)
+	}
+	s := c.Stats()
+	if s.Misses != before.Misses || s.Hits != before.Hits+1 || s.Resident != 2 || s.ResidentBytes != 20 {
+		t.Fatalf("stats after Put and one Acquire: %+v (before %+v)", s, before)
+	}
+}

@@ -261,7 +261,7 @@ func New(cfg Config) (*Engine, error) {
 		// table built under its key is dropped (or orphaned until its last
 		// in-flight reader releases it), so the eviction actually returns
 		// the index's heap.
-		cache.OnEviction(func(keys []index.CacheKey) { e.memo.dropIndexes(keys) })
+		cache.OnEviction(e.memo.invalidate)
 	}
 	if cfg.EvictInterval > 0 {
 		e.stopEvictor = cache.StartEvictor(cfg.EvictInterval)

@@ -137,8 +137,9 @@ func TestMemoReadNeverReachesTableOverTakenIndex(t *testing.T) {
 }
 
 // A degraded read pins a memo table without pinning its index. ApplyDelta
-// must then drop that index instead of repairing it under the reader, and
-// the pinned table must keep answering from the unmutated index.
+// must then repair a copy of that index instead of repairing it under the
+// reader, and the pinned table must keep answering from the unmutated
+// index.
 func TestApplyDeltaDropsIndexReadByPinnedMemoTable(t *testing.T) {
 	g := testGraph(t, 300, 6)
 	e := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": g}})
@@ -166,8 +167,8 @@ func TestApplyDeltaDropsIndexReadByPinnedMemoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IndexesRepaired != 0 || res.IndexesDropped != 1 || res.MemosDropped != 1 {
-		t.Fatalf("delta result %+v, want the index dropped (not repaired) and its table dropped", res)
+	if res.IndexesRepaired != 1 || res.IndexesDropped != 0 || res.MemosDropped != 1 {
+		t.Fatalf("delta result %+v, want a copy of the index repaired and the pinned table dropped", res)
 	}
 	if got := mh.Table().GainBatch(all, nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("the pinned table's answers changed under the delta")

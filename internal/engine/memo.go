@@ -21,21 +21,25 @@ import (
 // prefix of the set when one is resident, so only the delta is replayed) and
 // every later request is a pure read of the frozen table.
 //
-// Frozen means exactly that: once an entry is published (its ready channel
-// closed), its table is never mutated again. Gain/GainBatch/TopGains are
-// pure reads, so any number of requests can share the table concurrently,
-// and a TopGains miss evaluates only the candidates whose empty-set bound
-// can still reach the top B (internal/core), not all n;
-// the objective — whose D-table scan memoizes saturation state and is
-// therefore NOT a pure read — is computed once during population and stored
-// as a plain float64. Entries are only evicted when unreferenced, so a
-// table can never be freed under an in-flight request.
+// Frozen means exactly that: while an entry is reachable — resident in the
+// cache, or pinned by a handle — its table is never mutated. Gain/GainBatch/
+// TopGains are pure reads, so any number of requests can share the table
+// concurrently, and a TopGains miss evaluates only the candidates whose
+// empty-set bound can still reach the top B (internal/core), not all n; the
+// objective — whose D-table scan memoizes saturation state and is therefore
+// NOT a pure read — is computed once during population and stored, with
+// its integer sum. Entries are only evicted when unreferenced, so a table
+// can never be freed under an in-flight request. The one writer is a graph
+// mutation (ApplyDelta): it takes a key's tables out of the cache, and
+// only those no handle pins — unreachable from then on — are patched by
+// the index Repair and published again under the post-mutation key, each
+// a new entry with its objective advanced and an empty top-B memo.
 //
 // The refs/ready/LRU machinery lives in the generic internal/cache core
 // (shared with internal/index.Cache); this file adds the memo-specific
 // policy: canonical-set keying, longest-prefix pinning and extension, the
 // stored objective, and index-eviction linkage — when the index cache
-// evicts an index, dropIndex removes every table built under that key so
+// evicts an index, invalidate removes every table built under that key so
 // the evicted index's heap is actually released instead of staying pinned
 // by its dependent tables (tables still mid-read are orphaned and released
 // with their last handle).
@@ -106,11 +110,13 @@ type memoKey struct {
 }
 
 // memoValue is one cached table: written once at population and immutable
-// afterwards, except for the attached top-B result memo, which has its own
-// lock.
+// while reachable, except for the attached top-B result memo, which has its
+// own lock. A graph mutation may patch an unreachable table and publish it
+// again as a new value (see the frozen contract above).
 type memoValue struct {
 	set       []int         // canonical set, for prefix extension
 	d         *index.DTable // frozen after publication
+	objSum    int64         // the objective's integer sum, advanced across deltas
 	objective float64
 	top       *topMemo // per-entry top-B winners, lazily filled
 }
@@ -216,8 +222,10 @@ type MemoStats struct {
 	// top-B result memo (an O(B) read instead of a bound-pruned top-B read).
 	TopHits int64
 	// Evictions counts entries dropped by the entry/bytes budgets;
-	// Invalidated counts tables dropped because the index they were built
-	// from was evicted from the index cache; PopulateErrors counts failed
+	// Invalidated counts tables removed because the index they were built
+	// from left the index cache — evicted, or displaced by a graph mutation
+	// (a table the mutation carries counts here too, and is resident again
+	// under its post-mutation key); PopulateErrors counts failed
 	// populations and the waiters that coalesced onto them (which hold no
 	// entry and are not hits).
 	Evictions      int64
@@ -297,11 +305,12 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 			prefixD, prefixLen = prefix.Value().d, len(prefix.Value().set)
 			extended = true
 		}
-		d, objective, err := populateTable(ix, key.problem, set, prefixD, prefixLen)
+		d, objSum, err := populateTable(ix, key.problem, set, prefixD, prefixLen)
 		if err != nil {
 			return memoValue{}, 0, err
 		}
-		return memoValue{set: set, d: d, objective: objective, top: &topMemo{}}, d.MemoryBytes(), nil
+		v := memoValue{set: set, d: d, objSum: objSum, objective: ix.ObjectiveOf(key.problem, objSum), top: &topMemo{}}
+		return v, d.MemoryBytes(), nil
 	})
 	if err != nil {
 		return nil, "", err
@@ -322,10 +331,10 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 // populateTable materializes the frozen table for set over ix: from the
 // longest cached prefix when one is pinned (one array copy plus a replay of
 // only the delta of set past prefixLen), otherwise by full replay. The
-// objective is computed here, before publication, because
-// EstimateObjective memoizes saturation state in the table and therefore
+// objective's integer sum is computed here, before publication, because
+// EstimateObjectiveSum memoizes saturation state in the table and therefore
 // must not run on a shared frozen table.
-func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DTable, prefixLen int) (*index.DTable, float64, error) {
+func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DTable, prefixLen int) (*index.DTable, int64, error) {
 	d, err := ix.NewDTable(p)
 	if err != nil {
 		return nil, 0, err
@@ -343,7 +352,7 @@ func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DT
 	for _, u := range set {
 		members[u] = true
 	}
-	return d, d.EstimateObjective(members), nil
+	return d, d.EstimateObjectiveSum(members), nil
 }
 
 // peek returns a pinned handle on a resident frozen table for (idx,
@@ -352,10 +361,10 @@ func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DT
 // acquired (build shed, failed, or out-deadlined), an already-memoized
 // table can still answer its exact set. Every instance of one cache key
 // holds identical entries (walks are seeded per node and replicate), so any
-// match answers identically; ApplyDelta drops a key's tables before it
-// repairs the key's index, and drops rather than repairs an index whose
-// tables are still pinned, so a peeked table's index is never mutated
-// under it.
+// match answers identically; ApplyDelta takes a key's tables out of the
+// cache before it repairs the key's index, and repairs a copy of an index
+// whose tables are still pinned, so a peeked table's index is never
+// mutated under it.
 func (c *memoCache) peek(idx index.CacheKey, problem index.Problem, set string) *memoHandle {
 	h := c.core.PinBest(func(k memoKey, _ memoValue) int {
 		if k.idx == idx && k.problem == problem && k.set == set {
@@ -369,33 +378,41 @@ func (c *memoCache) peek(idx index.CacheKey, problem index.Problem, set string) 
 	return &memoHandle{h: h}
 }
 
-// dropIndexes removes every memoized table built under one of the given
+// invalidate drops every memoized table built under one of the given
 // index keys — the index cache's eviction hook, which is what lets an index
 // eviction actually release the index heap instead of leaving it pinned by
-// dependent tables — and returns how many it dropped plus the index
-// instances that dropped tables still pinned by a request read through.
-// Those tables are orphaned (no new request can reach them; their memory
-// goes with the last release), and their indexes must not be mutated
-// until then. Tables mid-population are untouched, which is safe because a
-// populating request holds a handle on its index, so that index cannot be
-// the one being evicted or taken.
-func (c *memoCache) dropIndexes(keys []index.CacheKey) (int, map[*index.Index]bool) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	evicted := make(map[index.CacheKey]bool, len(keys))
+// dependent tables. Tables a request still pins are orphaned: no new
+// request can reach them, and their memory goes with the last release.
+// Tables mid-population are untouched, which is safe because a populating
+// request holds a handle on its index, so that index cannot be the one
+// being evicted.
+func (c *memoCache) invalidate(keys []index.CacheKey) {
+	c.core.Invalidate(keyIn(keys))
+}
+
+// take removes every table built under one of the given index keys, for
+// ApplyDelta: the unpinned ones are handed over (nothing else can reach
+// them any more, so Repair may patch them), and those a request pins are
+// orphaned and reported with their values, whose index instances must then
+// not change under them.
+func (c *memoCache) take(keys []index.CacheKey) (taken, pinned []cache.Entry[memoKey, memoValue]) {
+	return c.core.Take(keyIn(keys))
+}
+
+// keyIn matches the memo keys built under one of keys.
+func keyIn(keys []index.CacheKey) func(memoKey) bool {
+	in := make(map[index.CacheKey]bool, len(keys))
 	for _, k := range keys {
-		evicted[k] = true
+		in[k] = true
 	}
-	taken, orphaned := c.core.Take(func(k memoKey) bool { return evicted[k.idx] })
-	var pinned map[*index.Index]bool
-	for _, k := range orphaned {
-		if pinned == nil {
-			pinned = make(map[*index.Index]bool)
-		}
-		pinned[k.ix] = true
-	}
-	return len(taken) + len(orphaned), pinned
+	return func(k memoKey) bool { return in[k.idx] }
+}
+
+// put publishes a table carried across a graph mutation under its
+// post-mutation key, counted as neither hit nor miss; false means the key
+// was already present.
+func (c *memoCache) put(key memoKey, v memoValue) bool {
+	return c.core.Put(key, v, v.d.MemoryBytes())
 }
 
 // noteEmptyHit records an empty-set request served off the index.

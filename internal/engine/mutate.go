@@ -4,16 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/index"
 )
 
 // This file is the engine's mutation entrypoint: ApplyDelta applies an edge
-// delta to a served graph, bumps its mutation epoch, and repairs the
-// resident walk indexes incrementally instead of dropping them for full
-// rebuilds. The mutation path is the only writer of the engine's graphs
-// map; the whole stale-state story hangs on two mechanisms acting together:
+// delta to a served graph, bumps its mutation epoch, and carries the
+// resident walk indexes — with the memoized D-tables and empty-set sums
+// derived from them — across it by incremental repair instead of dropping
+// them for full rebuilds. The mutation path is the only writer of the
+// engine's graphs map; the whole stale-state story hangs on two mechanisms
+// acting together:
 //
 //   - The epoch rides in every derived identity. resolveParams snapshots
 //     (graph, epoch) atomically under the graphs RLock, and the epoch flows
@@ -23,16 +27,21 @@ import (
 //     graph, and a request resolved after can never hit a pre-mutation
 //     artifact.
 //
-//   - Resident indexes are taken, repaired, and re-adopted under the
-//     post-mutation key. Cache.TakeGraph transfers exclusive ownership of
-//     the unpinned indexes (pinned ones are orphaned: their in-flight
-//     readers finish on a consistent pre-mutation answer and the last
-//     release frees them). Every displaced key's memoized D-tables are
-//     then invalidated through the same linkage an index eviction uses —
-//     before any repair, because a table reads through its index. Each
-//     current-epoch index no surviving table pins is repaired in place
-//     (internal/index.Repair regenerates only the walk rows the delta
-//     touched) and re-adopted; anything else is dropped.
+//   - Resident indexes and their tables are taken out of both caches,
+//     repaired, and published again under the post-mutation key.
+//     Cache.TakeGraph hands over the indexes; the memo cache hands over
+//     every table under a displaced key. A table an in-flight read pins is
+//     orphaned (its reader finishes on a consistent pre-mutation answer,
+//     and the last release frees it); every other table is unreachable from
+//     then on and is passed to its index's Repair (internal/index), which
+//     replays only the walks the delta touched, patches the index's rows
+//     and empty-set sums from them, and rewrites the tables' entries for
+//     the walks that diverged. An index nothing pins is repaired in place.
+//     One a read pins — through its own handle, or through a pinned table
+//     that reads through it — is never mutated: ApplyDelta repairs a
+//     private Copy and adopts that, and the readers keep the original.
+//     Only indexes Repair refuses (built from raw walks, or at an older
+//     epoch) are dropped, with their tables.
 
 // ApplyDeltaRequest asks for a graph mutation. Graph may be empty when the
 // engine serves exactly one graph.
@@ -60,14 +69,16 @@ type ApplyDeltaResult struct {
 	// Touched is the number of nodes whose adjacency the delta changed.
 	Touched int
 	// IndexesRepaired counts resident walk indexes carried across the
-	// mutation by incremental repair; IndexesDropped the resident indexes
-	// that could not be (pinned by in-flight reads, read through by a memo
-	// table a degraded read still pins, built from raw walks, or at an
-	// older epoch) and will rebuild on next use.
+	// mutation by incremental repair (in place, or on a copy when an
+	// in-flight read pins the index); IndexesDropped the resident indexes
+	// that could not be (built from raw walks, or at an older epoch) and
+	// will rebuild on next use.
 	IndexesRepaired int
 	IndexesDropped  int
-	// MemosDropped counts memoized D-tables invalidated because their
-	// index identity is pre-mutation.
+	// MemosDropped counts memoized D-tables discarded by the mutation:
+	// those an in-flight read pinned, and those over an index that was
+	// dropped. Tables patched and carried to the post-mutation key are not
+	// counted.
 	MemosDropped int
 }
 
@@ -79,12 +90,15 @@ type ApplyDeltaResult struct {
 // that exists, removing one that doesn't, a stale BaseEpoch) fail with
 // CodeConflict and apply nothing.
 //
-// Resident walk indexes for the graph are repaired in place when possible,
-// so a mutation on a warm engine keeps it warm. Repair replays each walk
-// that visits a touched node (the affected walks) on the old and new graph
-// in lockstep, a few neighbour picks each, and edits index rows only for
-// the walks whose trajectory actually diverges; the cost follows those
-// walks, not the graph (index.Repair has the cost model).
+// Resident walk indexes for the graph are repaired, so a mutation on a
+// warm engine keeps it warm: the indexes, their memoized empty-set sums and
+// their memoized D-tables all answer at the new epoch without a rescan.
+// Repair replays each walk that visits a touched node (the affected walks)
+// on the old and new graph in lockstep, a few neighbour picks each, and
+// edits index rows, sums and table entries only for the walks whose
+// trajectory actually diverges; the cost follows those walks, not the
+// graph (index.Repair has the cost model), plus a copy of the index when a
+// read pins it.
 //
 // ctx is accepted for surface symmetry with the rest of the public API but
 // not consulted: an admitted mutation is quick — an 8-edge delta on a
@@ -126,40 +140,93 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 		Touched: len(touched),
 	}
 
-	// Displace every resident index for this graph. Unpinned current-epoch
-	// indexes are repaired and re-adopted under the post-mutation key;
-	// everything else (pinned, walk-adopted, older-epoch stragglers) is
-	// dropped and rebuilds on next use. Stale keys — repaired or not — lose
-	// their memoized D-tables.
-	taken, orphaned := e.cache.TakeGraph(name)
-	staleKeys := make([]index.CacheKey, 0, len(taken)+len(orphaned))
-	staleKeys = append(staleKeys, orphaned...)
-	for _, t := range taken {
+	// Displace every resident index for this graph, and every table
+	// memoized over one, before any repair: afterwards no request can reach
+	// a displaced index or an unpinned table.
+	taken, pinned := e.cache.TakeGraph(name)
+	staleKeys := make([]index.CacheKey, 0, len(taken)+len(pinned))
+	for _, t := range slices.Concat(taken, pinned) {
 		staleKeys = append(staleKeys, t.Key)
 	}
-	// Drop the stale memo tables before any repair: afterwards no request
-	// can reach a table over a taken index, and a taken index that a
-	// still-pinned table (a degraded read) reads through is dropped, not
-	// repaired under that reader.
-	var pinned map[*index.Index]bool
+	var tables, readTables []cache.Entry[memoKey, memoValue]
 	if e.memo != nil {
-		res.MemosDropped, pinned = e.memo.dropIndexes(staleKeys)
+		tables, readTables = e.memo.take(staleKeys)
 	}
-	res.IndexesDropped = len(orphaned)
-	for _, t := range taken {
-		if t.Key.Epoch == g.Epoch() && !pinned[t.Index] && t.Index.Repair(ng, touched) == nil {
-			newKey := t.Key
-			newKey.Epoch = ng.Epoch()
-			if e.cache.Adopt(newKey, t.Index) == nil {
-				res.IndexesRepaired++
-				continue
-			}
+	// A pinned table stays with its reader, as does the index instance it
+	// reads through.
+	res.MemosDropped = len(readTables)
+	read := make(map[*index.Index]bool, len(pinned)+len(readTables))
+	for _, t := range pinned {
+		read[t.Index] = true
+	}
+	for _, t := range readTables {
+		read[t.Key.ix] = true
+	}
+	carried := make(map[*index.Index][]cache.Entry[memoKey, memoValue])
+	for _, t := range tables {
+		carried[t.Key.ix] = append(carried[t.Key.ix], t)
+	}
+	for _, t := range slices.Concat(taken, pinned) {
+		tabs := carried[t.Index]
+		delete(carried, t.Index)
+		if t.Key.Epoch == g.Epoch() && e.carry(t, read[t.Index], tabs, ng, touched) {
+			res.IndexesRepaired++
+			continue
 		}
 		res.IndexesDropped++
+		res.MemosDropped += len(tabs)
+	}
+	// Tables over an instance neither cache still held (one a read rebuilt
+	// while the old one was being displaced) go with it.
+	for _, tabs := range carried {
+		res.MemosDropped += len(tabs)
 	}
 
 	e.graphs[name] = ng
 	return res, nil
+}
+
+// carry repairs the displaced index t, with the memo tables taken over it,
+// to ng and publishes both under the post-mutation key. An index a read
+// still holds (read) is copied first, and the copy is repaired and adopted.
+// It reports false, publishing nothing, when the index cannot be repaired;
+// its tables are then unreachable and go with it.
+func (e *Engine) carry(t index.TakenIndex, read bool, tabs []cache.Entry[memoKey, memoValue], ng *graph.Graph, touched []int) bool {
+	ds := make([]*index.DTable, len(tabs))
+	for i, tb := range tabs {
+		ds[i] = tb.Value.d
+	}
+	ix := t.Index
+	if read {
+		// Rebuilding costs far more than copying: a read on the original
+		// keeps its answers, and new reads get the repaired copy. (An index
+		// Repair refuses is copied for nothing, but none is on a hot path.)
+		var err error
+		if ix, err = ix.Copy(ds...); err != nil {
+			return false
+		}
+	}
+	if ix.Repair(ng, touched, ds...) != nil {
+		return false
+	}
+	key := t.Key
+	key.Epoch = ng.Epoch()
+	for _, tb := range tabs {
+		v := tb.Value
+		v.objSum += v.d.ObjectiveDelta()
+		v.objective = ix.ObjectiveOf(tb.Key.problem, v.objSum)
+		v.top = &topMemo{}
+		mk := tb.Key
+		mk.idx, mk.ix = key, ix
+		e.memo.put(mk, v)
+	}
+	if e.cache.Adopt(key, ix) != nil {
+		if e.memo != nil {
+			e.memo.invalidate([]index.CacheKey{key})
+		}
+		return false
+	}
+	return true
 }
 
 // epochGuard rejects a read pinned to an epoch the graph has moved past

@@ -112,8 +112,8 @@ func TestApplyDeltaRepairsResidentIndex(t *testing.T) {
 // TestApplyDeltaDropsPinnedIndex: an index pinned by an in-flight request at
 // mutation time cannot be repaired in place (the reader is concurrently
 // scanning its rows), so it is orphaned — the reader finishes on a
-// consistent pre-mutation answer — and the next post-mutation request
-// rebuilds.
+// consistent pre-mutation answer — and a private copy of it is repaired and
+// adopted under the post-mutation key instead.
 func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
 	g := testGraph(t, 300, 6)
 	e := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": g}})
@@ -130,8 +130,8 @@ func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IndexesRepaired != 0 || res.IndexesDropped != 1 {
-		t.Fatalf("repaired %d, dropped %d; want the pinned index dropped", res.IndexesRepaired, res.IndexesDropped)
+	if res.IndexesRepaired != 1 || res.IndexesDropped != 0 {
+		t.Fatalf("repaired %d, dropped %d; want a copy of the pinned index repaired", res.IndexesRepaired, res.IndexesDropped)
 	}
 	// The held handle still reads the untouched pre-mutation index.
 	gotIDs, gotHops := h.Index().Row(5, 0)
@@ -149,8 +149,9 @@ func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
 // D-table built pre-mutation kept serving Gain after the mutation — the
 // memo key (index key, problem, set) was unchanged, so the read path never
 // noticed the graph moved. Now the epoch rides in the index cache key and
-// therefore the memo key: the stale table is invalidated at mutation time
-// and the post-mutation answer matches a cold engine exactly.
+// therefore the memo key: the stale table is taken out of the cache at
+// mutation time — patched by the repair and published again under the new
+// key — and the post-mutation answer matches a cold engine exactly.
 func TestApplyDeltaInvalidatesMemo(t *testing.T) {
 	g := testGraph(t, 300, 6)
 	e := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": g}})
@@ -169,8 +170,8 @@ func TestApplyDeltaInvalidatesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemosDropped != 1 {
-		t.Fatalf("MemosDropped = %d, want 1", res.MemosDropped)
+	if res.MemosDropped != 0 {
+		t.Fatalf("MemosDropped = %d, want 0 (the table is carried)", res.MemosDropped)
 	}
 	if inv := e.MemoStats().Invalidated; inv != 1 {
 		t.Fatalf("MemoStats.Invalidated = %d, want 1", inv)
@@ -180,8 +181,8 @@ func TestApplyDeltaInvalidatesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Memo != MemoMiss {
-		t.Fatalf("post-mutation gain memo = %q, want %q (stale table must be gone)", got.Memo, MemoMiss)
+	if got.Memo != MemoHit {
+		t.Fatalf("post-mutation gain memo = %q, want %q (the table is carried to the new key)", got.Memo, MemoHit)
 	}
 	ng, _ := e.Graph("test")
 	fresh := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": ng}})

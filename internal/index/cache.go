@@ -393,7 +393,7 @@ func (c *Cache) spill(victims []cache.Entry[CacheKey, *Index]) {
 // store-backed index loaded from that very spill file, still covering its
 // whole replicate range (ExtendReplicates since load would have widened it).
 // Resident indexes are immutable (Repair only happens on indexes removed
-// via TakeGraph), so re-serializing an unchanged store-backed index on
+// via TakeGraph, or on copies of them), so re-serializing an unchanged store-backed index on
 // eviction would write back the bytes it was loaded from.
 func (c *Cache) spillCurrent(ix *Index, path string) bool {
 	if !ix.storeComplete() || ix.StorePath() != path {
@@ -420,29 +420,34 @@ func (c *Cache) spillAsync(victims []cache.Entry[CacheKey, *Index]) {
 }
 
 // TakenIndex is one resident index removed by TakeGraph, with the key it
-// was resident under. The caller owns the index exclusively.
+// was resident under.
 type TakenIndex struct {
 	Key   CacheKey
 	Index *Index
 }
 
-// TakeGraph removes every resident index for the named graph, returning
-// exclusive ownership of the unpinned ones — no handle and no map entry
-// references them, so the caller may Repair them in place after a graph
-// mutation — plus the keys of the pinned ones, which are orphaned: their
-// in-flight readers finish on them (a consistent pre-mutation answer), but
-// nothing new can acquire them. Neither set flows through the eviction
-// hook: nothing is spilled (the values are about to be repaired or
-// dropped, and a pre-mutation file on disk is unreachable anyway — the
-// post-mutation key has a different spill path), and the caller is the
-// serving layer itself, which drops the dependent memo tables explicitly.
-func (c *Cache) TakeGraph(name string) (taken []TakenIndex, orphaned []CacheKey) {
-	entries, orphaned := c.core.Take(func(k CacheKey) bool { return k.Graph == name })
-	taken = make([]TakenIndex, 0, len(entries))
-	for _, e := range entries {
-		taken = append(taken, TakenIndex{Key: e.Key, Index: e.Value})
+// TakeGraph removes every resident index for the named graph. taken holds
+// the unpinned ones, which the caller now owns exclusively — no handle and
+// no map entry references them, so it may Repair them in place after a
+// graph mutation. pinned holds those an in-flight read still holds: they
+// are orphaned (their readers finish on them, a consistent pre-mutation
+// answer, but nothing new can acquire them), and the caller may read them
+// — Copy one and repair the copy — but must not mutate them. Neither set
+// flows through the eviction hook: nothing is spilled (the values are about
+// to be repaired or dropped, and a pre-mutation file on disk is
+// unreachable anyway — the post-mutation key has a different spill path),
+// and the caller is the serving layer itself, which moves or drops the
+// dependent memo tables explicitly.
+func (c *Cache) TakeGraph(name string) (taken, pinned []TakenIndex) {
+	un, in := c.core.Take(func(k CacheKey) bool { return k.Graph == name })
+	list := func(entries []cache.Entry[CacheKey, *Index]) []TakenIndex {
+		out := make([]TakenIndex, 0, len(entries))
+		for _, e := range entries {
+			out = append(out, TakenIndex{Key: e.Key, Index: e.Value})
+		}
+		return out
 	}
-	return taken, orphaned
+	return list(un), list(in)
 }
 
 // EvictIdle evicts every unreferenced entry whose last use is not newer than

@@ -170,8 +170,9 @@ type Index struct {
 	// Problem 1, slot 1: Problem 2), computed lazily by EmptySetGainSums
 	// under emptyMu, which makes the index safe to share across concurrent
 	// callers; emptyGains is the float64 view EmptySetGains derives from
-	// them. Repair and ExtendReplicates drop both (the entries they
-	// summarize changed); a plain mutex rather than sync.Once keeps the memo
+	// them. Repair patches the sums from the entries it edits and drops the
+	// float view; ExtendReplicates drops both (it adds a chunk of entries
+	// no edit describes). A plain mutex rather than sync.Once keeps the memo
 	// resettable.
 	emptyMu    sync.Mutex
 	emptyGains [2][]float64
@@ -653,20 +654,25 @@ type DTable struct {
 	// tabs, when non-nil, marks the table of a chunked index: one flat child
 	// table per replicate chunk (per-chunk columns), with d/sat unused on the
 	// parent. Every read sums exact int64 partials across tabs; Update fans
-	// out to every tab. sel records the Update history so SyncChunks can
-	// replay it into columns for chunks attached after the table was created.
+	// out to every tab.
 	tabs []*DTable
-	sel  []int
+	// sel records the Update history, the set S the table tracks: SyncChunks
+	// replays it into columns for chunks attached after the table was
+	// created, and Repair rewrites D for the walks it changed against it.
+	sel []int
 	// sat, Problem 2 only, memoizes nodes whose replicate row is fully
 	// saturated (all R entries 1). Rows are monotone non-decreasing, so a
 	// saturated row stays saturated; EstimateObjective uses it to skip the
 	// O(R) scan. Lazily maintained — false just means "not yet observed
 	// saturated".
 	sat []bool
-	// muts counts semantic mutations (Update, ExtendFrom) so Snapshot can
-	// detect that its aliased view of the table went stale. sat memoization
-	// is not a semantic mutation and does not bump it.
+	// muts counts semantic mutations (Update, ExtendFrom, Repair) so
+	// Snapshot can detect that its aliased view of the table went stale. sat
+	// memoization is not a semantic mutation and does not bump it.
 	muts uint64
+	// objDelta is the change the last Repair made to the table's integer
+	// objective sum (ObjectiveDelta).
+	objDelta int64
 }
 
 // NewDTable returns a fresh D-table for the given problem: initialized to L
@@ -720,7 +726,7 @@ func (t *DTable) Clone() *DTable {
 		sat = make([]bool, len(t.sat))
 		copy(sat, t.sat)
 	}
-	return &DTable{ix: t.ix, problem: t.problem, d: d, size: t.size, sat: sat}
+	return &DTable{ix: t.ix, problem: t.problem, d: d, size: t.size, sat: sat, sel: append([]int(nil), t.sel...)}
 }
 
 // Size returns the number of Update calls applied, i.e. |S|.
@@ -897,6 +903,7 @@ func (t *DTable) Update(u int) {
 			}
 		}
 	}
+	t.sel = append(t.sel, u)
 	t.size++
 	t.muts++
 }
@@ -913,11 +920,26 @@ func (t *DTable) Update(u int) {
 // grow toward saturation, and late greedy rounds saturate most of the
 // graph, so repeated objective probes become nearly O(n).
 func (t *DTable) EstimateObjective(members []bool) float64 {
-	acc := t.objectiveSum(members, true)
-	n := t.ix.g.N()
-	avg := float64(acc) / float64(t.ix.r)
-	if t.problem == Problem1 {
-		return float64(n)*float64(t.ix.l) - avg
+	return t.ix.ObjectiveOf(t.problem, t.EstimateObjectiveSum(members))
+}
+
+// EstimateObjectiveSum is EstimateObjective before its final float64 step:
+// the same integer accumulator as ObjectiveSum, computed with the owner's
+// Problem-2 saturation memo, so like EstimateObjective it must not run on a
+// shared table. A holder that keeps the sum can advance it across a Repair
+// by the table's ObjectiveDelta instead of rescanning.
+func (t *DTable) EstimateObjectiveSum(members []bool) int64 {
+	return t.objectiveSum(members, true)
+}
+
+// ObjectiveOf turns an integer objective accumulator (ObjectiveSum,
+// EstimateObjectiveSum) into the estimated objective, with the float64
+// operations EstimateObjective performs: the replicate average, subtracted
+// from nL for Problem 1.
+func (ix *Index) ObjectiveOf(p Problem, sum int64) float64 {
+	avg := float64(sum) / float64(ix.r)
+	if p == Problem1 {
+		return float64(ix.g.N())*float64(ix.l) - avg
 	}
 	return avg
 }

@@ -65,8 +65,9 @@ func (ix *Index) emptySumInt(p Problem, u int) int64 {
 // set — Gain(u) of a fresh D-table — computed directly from the index
 // entries without materializing any n·R table. The vector is derived once
 // per problem from the memoized EmptySetGainSums and memoized on the index
-// until the next Repair drops it, so steady-state calls are free; it is
-// safe for concurrent callers. The returned slice is shared and must not be
+// until the next Repair drops it (one division per node re-derives it from
+// the patched sums), so steady-state calls are free; it is safe for
+// concurrent callers. The returned slice is shared and must not be
 // modified.
 //
 // Values are bit-for-bit identical to NewDTable(p).Gain(u): both accumulate
@@ -92,8 +93,10 @@ func (ix *Index) EmptySetGains(p Problem) ([]float64, error) {
 
 // EmptySetGainSums is EmptySetGains in the integer domain: the gain sum of
 // every node against the empty set, before the division by R. The vector is
-// computed once per problem and memoized on the index until the next
-// Repair; the returned slice is shared and must not be modified. The
+// computed once per problem and memoized on the index; Repair patches it in
+// place from the entries it edits (so a delta costs O(edits), not a
+// rescan), which makes the returned slice valid only while the caller keeps
+// the index from being repaired. It is shared and must not be modified. The
 // greedy oracle of core.ApproxWithIndex answers round 1 of every select
 // from it (each entry divided by R is exactly DTable.Gain on a fresh
 // table). By submodularity each entry bounds the node's gain sum against
@@ -124,8 +127,28 @@ func (ix *Index) emptySumsLocked(p Problem, slot int) []int64 {
 	return ix.emptySums[slot]
 }
 
-// resetEmptyMemos drops the memoized empty-set vectors; Repair calls it
-// because the entries (and possibly n) they summarize changed.
+// growEmptySums readies the memoized empty-set sums for a Repair to n
+// nodes and returns them for mergeEdits to patch (nil slots were never
+// computed and stay so). An added node starts from its own rows' term — R·L
+// for Problem 1, R for Problem 2 — with no entries yet; the edits that fill
+// its rows, and every other row the delta changed, add the rest. The float
+// view is dropped: EmptySetGains re-derives it from the sums.
+func (ix *Index) growEmptySums(n int) [2][]int64 {
+	ix.emptyMu.Lock()
+	defer ix.emptyMu.Unlock()
+	base := [2]int64{int64(ix.r) * int64(ix.l), int64(ix.r)}
+	for s, sums := range ix.emptySums {
+		for sums != nil && len(sums) < n {
+			sums = append(sums, base[s])
+		}
+		ix.emptySums[s] = sums
+	}
+	ix.emptyGains = [2][]float64{}
+	return ix.emptySums
+}
+
+// resetEmptyMemos drops the memoized empty-set vectors; ExtendReplicates
+// calls it because a new chunk adds entries no edit describes.
 func (ix *Index) resetEmptyMemos() {
 	ix.emptyMu.Lock()
 	ix.emptyGains = [2][]float64{}
@@ -152,23 +175,17 @@ func (ix *Index) EmptySetObjectiveSum(p Problem) (int64, error) {
 // same floating-point operations as the D-table path so the two read paths
 // stay bit-for-bit identical.)
 func (ix *Index) EmptySetObjective(p Problem) (float64, error) {
-	if _, err := emptySlot(p); err != nil {
+	sum, err := ix.EmptySetObjectiveSum(p)
+	if err != nil {
 		return 0, err
 	}
-	n := ix.g.N()
-	if p == Problem1 {
-		// acc = Σ_u Σ_i L, then the same nL − acc/R the D-table scan performs.
-		acc := int64(n) * int64(ix.r) * int64(ix.l)
-		avg := float64(acc) / float64(ix.r)
-		return float64(n)*float64(ix.l) - avg, nil
-	}
-	return 0, nil
+	return ix.ObjectiveOf(p, sum), nil
 }
 
 // Snapshot is a read-only view of a D-table's state at a point in time,
 // the source side of ExtendFrom. It aliases the table's storage rather than
 // copying it: taking one is O(1), and it remains valid only until the next
-// mutation (Update or ExtendFrom) of the source table. ExtendFrom rejects
+// mutation (Update, ExtendFrom or Repair) of the source table. ExtendFrom rejects
 // an invalidated snapshot.
 //
 // The memoized gain cache in internal/server relies on exactly this
@@ -224,6 +241,7 @@ func (t *DTable) ExtendFrom(s *Snapshot, extra ...int) error {
 				if dt.sat != nil {
 					copy(dt.sat, st.sat)
 				}
+				dt.sel = append(dt.sel[:0], st.sel...)
 				dt.size = st.size
 			}
 			t.sel = append(t.sel[:0], s.src.sel...)
@@ -232,6 +250,7 @@ func (t *DTable) ExtendFrom(s *Snapshot, extra ...int) error {
 			if t.sat != nil {
 				copy(t.sat, s.src.sat)
 			}
+			t.sel = append(t.sel[:0], s.src.sel...)
 		}
 		t.size = s.src.size
 	}
@@ -244,6 +263,12 @@ func (t *DTable) ExtendFrom(s *Snapshot, extra ...int) error {
 
 // Index returns the index the table reads.
 func (t *DTable) Index() *Index { return t.ix }
+
+// ObjectiveDelta returns the change the last Repair that patched the table
+// made to its integer objective sum — ObjectiveSum over the table's own set
+// — so a holder of the old sum can advance it without a rescan. It is 0 for
+// a table no Repair has patched.
+func (t *DTable) ObjectiveDelta() int64 { return t.objDelta }
 
 // MemoryBytes reports the approximate heap footprint of the table, used by
 // the serving layer's memo cache for /stats accounting.
